@@ -25,7 +25,8 @@ from .model import (
     VARIANT_EXTRAPOLATION,
     ModelConfig,
     ModelParams,
-    SCORE_FLUSH,
+    _flushed_softmax,
+    _history_scores,
     temporal_embedding,
 )
 
@@ -45,7 +46,6 @@ class SequenceCache:
         self.onehot = np.zeros((length, cfg.num_types))
         if length:
             self.onehot[np.arange(length), self.types] = 1.0
-        self.causal = np.tril(np.ones((length, length), dtype=bool), -1)
         if cfg.variant == VARIANT_EXTRAPOLATION and length and self.times[0] == 0.0:
             raise DegenerateAnchor("first event at t=0 cannot anchor extrapolation")
         if cfg.variant == VARIANT_EXTRAPOLATION:
@@ -97,17 +97,6 @@ class SequenceCache:
             self.rel_elapsed_gr = rel
 
 
-def _softmax_rows(raw: np.ndarray, mask: np.ndarray):
-    """Row softmax under a boolean mask; fully masked rows give zero rows."""
-    neg = np.where(mask, raw, -np.inf)
-    mx = neg.max(axis=1, keepdims=True, initial=-np.inf)
-    d = neg - np.where(np.isfinite(mx), mx, 0.0)
-    w = np.exp(d)
-    w[d < -SCORE_FLUSH] = 0.0
-    norm = w.sum(axis=1, keepdims=True)
-    return w / np.where(norm > 0.0, norm, 1.0)
-
-
 class Forward:
     """Bag of forward-pass arrays kept for the backward pass."""
 
@@ -117,17 +106,41 @@ class Forward:
     )
 
 
-def forward(params: ModelParams, cfg: ModelConfig, cache: SequenceCache) -> Forward:
-    length, m = cache.length, cfg.embed_dim
-    scale = math.sqrt(2.0 * m)
-    c = cache.types
+def _embed(params: ModelParams, cache: SequenceCache) -> Forward:
+    """Event embeddings, the type Gram matrix and the value readouts."""
     f = Forward()
-    f.x_ev = np.concatenate([cache.z_ev, params.type_embed[:, c].T], axis=1)  # (L, 2M)
+    f.x_ev = np.concatenate([cache.z_ev, params.type_embed[:, cache.types].T], axis=1)  # (L, 2M)
     f.gram = params.type_embed.T @ params.type_embed  # (K, K)
     f.values = f.x_ev @ params.value_proj  # (L, M_V)
     f.value_read = f.values @ params.readout.T  # (L, K)
-    raw_ev = (cache.z_ev @ cache.z_ev.T + f.gram[c[:, None], c[None, :]]) / scale
-    f.attn_ev = _softmax_rows(raw_ev, cache.causal) if length else np.zeros((0, 0))
+    return f
+
+
+def _query_pre(params, cfg, cache, f, z_q, h):
+    """Attention-variant pre-activations (N, K) of queries at temporal
+    embeddings ``z_q`` with history counts ``h``, and each type's attention."""
+    m = cfg.embed_dim
+    scale = math.sqrt(2.0 * m)
+    block = _history_scores(z_q, cache.z_ev, h)  # (N, L)
+    pre = np.empty((len(z_q), cfg.num_types))
+    attn = []
+    for k in range(cfg.num_types):
+        a_k = _flushed_softmax(block, f.gram[k, cache.types], scale)
+        attn.append(a_k)
+        pre[:, k] = a_k @ f.value_read[:, k] + params.bias[k]
+        if cfg.skip_connection:
+            pre[:, k] += z_q @ params.readout[k, :m] + (
+                params.type_embed[:, k] @ params.readout[k, m:]
+            )
+    return pre, attn
+
+
+def forward(params: ModelParams, cfg: ModelConfig, cache: SequenceCache) -> Forward:
+    length = cache.length
+    c = cache.types
+    f = _embed(params, cache)
+    block = _history_scores(cache.z_ev, cache.z_ev, np.arange(length))
+    f.attn_ev = _flushed_softmax(block, f.gram[c[:, None], c], math.sqrt(2.0 * cfg.embed_dim))
 
     if cfg.variant == VARIANT_EXTRAPOLATION:
         f.attn_out = f.attn_ev @ f.values  # (L, M_V)
@@ -163,21 +176,7 @@ def forward(params: ModelParams, cfg: ModelConfig, cache: SequenceCache) -> Forw
     f.pre_ev = pre_ev
 
     if cache.grid is not None:
-        n = len(cache.g)
-        raw_zt = cache.z_gr @ cache.z_ev.T  # (N, L)
-        col_mask = np.arange(length)[None, :] < cache.h[:, None]
-        pre_gr = np.empty((n, cfg.num_types))
-        f.attn_gr = []
-        for k in range(cfg.num_types):
-            raw_k = (raw_zt + f.gram[k, c][None, :]) / scale
-            a_k = _softmax_rows(raw_k, col_mask) if length else np.zeros((n, 0))
-            f.attn_gr.append(a_k)
-            pre_gr[:, k] = a_k @ f.value_read[:, k] + params.bias[k]
-            if cfg.skip_connection:
-                pre_gr[:, k] += cache.z_gr @ params.readout[k, :m] + (
-                    params.type_embed[:, k] @ params.readout[k, m:]
-                )
-        f.pre_gr = pre_gr
+        f.pre_gr, f.attn_gr = _query_pre(params, cfg, cache, f, cache.z_gr, cache.h)
     else:
         f.attn_gr = None
         f.pre_gr = None
@@ -281,35 +280,10 @@ def backward(
 
 def event_pre_all_types(params: ModelParams, cfg: ModelConfig, cache: SequenceCache) -> np.ndarray:
     """Pre-activations (L, K) treating each event time as a query of every type."""
-    length, m = cache.length, cfg.embed_dim
-    if length == 0:
-        return np.zeros((0, cfg.num_types))
-    scale = math.sqrt(2.0 * m)
-    c = cache.types
-    x_ev = np.concatenate([cache.z_ev, params.type_embed[:, c].T], axis=1)
-    gram = params.type_embed.T @ params.type_embed
-    values = x_ev @ params.value_proj
-    value_read = values @ params.readout.T  # (L, K)
     if cfg.variant == VARIANT_EXTRAPOLATION:
-        attn = _softmax_rows(
-            (cache.z_ev @ cache.z_ev.T + gram[c[:, None], c[None, :]]) / scale, cache.causal
-        )
-        mlp_hidden = np.maximum((attn @ values) @ params.mlp_w1 + params.mlp_b1, 0.0)
-        hidden_read = (mlp_hidden @ params.mlp_w2 + params.mlp_b2) @ params.extrap_readout.T
-        pre = np.tile(params.bias, (length, 1))
-        if length > 1:
-            pre[1:] += (
-                params.extrap_coef[None, :] * cache.rel_elapsed_ev[1:, None]
-                + hidden_read[:-1]
-            )
+        hidden_read = forward(params, cfg, cache).hidden_read
+        pre = np.tile(params.bias, (cache.length, 1))
+        pre[1:] += params.extrap_coef[None, :] * cache.rel_elapsed_ev[1:, None] + hidden_read[:-1]
         return pre
-    zz = cache.z_ev @ cache.z_ev.T
-    pre = np.empty((length, cfg.num_types))
-    for k in range(cfg.num_types):
-        a_k = _softmax_rows((zz + gram[k, c][None, :]) / scale, cache.causal)
-        pre[:, k] = a_k @ value_read[:, k] + params.bias[k]
-        if cfg.skip_connection:
-            pre[:, k] += cache.z_ev @ params.readout[k, :m] + (
-                params.type_embed[:, k] @ params.readout[k, m:]
-            )
-    return pre
+    f = _embed(params, cache)
+    return _query_pre(params, cfg, cache, f, cache.z_ev, np.arange(cache.length))[0]

@@ -95,11 +95,11 @@ def _load_json_arg(text: str) -> dict:
     """Interpret an argument as a path to a JSON file, or inline JSON."""
     path = Path(text)
     try:
-        if path.exists() and path.is_file():
-            raw = path.read_text(encoding="utf-8")
-        else:
-            raw = text
-        return json.loads(raw)
+        is_file = path.is_file()
+    except OSError:  # e.g. inline JSON longer than a file name may be
+        is_file = False
+    try:
+        return json.loads(path.read_text(encoding="utf-8") if is_file else text)
     except (OSError, json.JSONDecodeError) as err:
         raise DataError(f"could not read JSON from {text!r}: {err}") from err
 

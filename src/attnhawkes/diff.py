@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._forward import SequenceCache, backward, forward
-from .errors import NonFiniteObjective
+from .errors import NonFinite
 from .model import (
     ModelConfig,
     ModelParams,
@@ -61,27 +61,36 @@ def _build_caches(cfg, batch):
     return [SequenceCache(cfg, seq, grid) for seq, grid in batch]
 
 
-def _sequence_terms(params, cfg, cache, index):
+def _event_term(pre_ev, where=""):
+    """Sum of event log-intensities; raises ``NonFinite`` on a zero or non-finite one."""
+    if not np.isfinite(pre_ev).all() or (softplus(pre_ev) == 0.0).any():
+        raise NonFinite(f"{where}an event intensity is zero or non-finite")
+    return float(np.sum(log_softplus(pre_ev)))
+
+
+def _compensator(cache, pre_gr, where=""):
+    """Trapezoidal integral of the total grid intensity; raises ``NonFinite`` unless finite."""
+    if not np.isfinite(pre_gr).all():
+        raise NonFinite(f"{where}a grid intensity is non-finite")
+    value = float(cache.quad @ softplus(pre_gr).sum(axis=1))
+    if not np.isfinite(value):
+        raise NonFinite(f"{where}compensator is {value}")
+    return value
+
+
+def _sequence_terms(params, cfg, cache, where=""):
+    """Forward pass and log-likelihood (event term minus compensator) of one sequence."""
     fwd = forward(params, cfg, cache)
-    lam_ev = softplus(fwd.pre_ev)
-    if not np.isfinite(fwd.pre_ev).all() or (lam_ev == 0.0).any():
-        raise NonFiniteObjective(
-            f"sequence {index}: an event intensity is zero or non-finite"
-        )
-    if not np.isfinite(fwd.pre_gr).all():
-        raise NonFiniteObjective(f"sequence {index}: a grid intensity is non-finite")
-    event_term = float(np.sum(log_softplus(fwd.pre_ev)))
-    comp = float(cache.quad @ softplus(fwd.pre_gr).sum(axis=1))
-    return fwd, event_term - comp
+    return fwd, _event_term(fwd.pre_ev, where) - _compensator(cache, fwd.pre_gr, where)
 
 
 def _objective_cached(params, cfg, caches):
     total = 0.0
     for i, cache in enumerate(caches):
-        _, value = _sequence_terms(params, cfg, cache, i)
+        _, value = _sequence_terms(params, cfg, cache, f"sequence {i}: ")
         total += value
     if not np.isfinite(total):
-        raise NonFiniteObjective(f"objective is {total}")
+        raise NonFinite(f"objective is {total}")
     return total
 
 
@@ -89,17 +98,17 @@ def _gradients_cached(params, cfg, caches):
     total = 0.0
     grads = _zero_grads(cfg)
     for i, cache in enumerate(caches):
-        fwd, value = _sequence_terms(params, cfg, cache, i)
+        fwd, value = _sequence_terms(params, cfg, cache, f"sequence {i}: ")
         total += value
         d_pre_ev = np.asarray(dlog_softplus(fwd.pre_ev))
         d_pre_gr = -(cache.quad[:, None] * sigmoid(fwd.pre_gr))
         for name, g in backward(params, cfg, cache, fwd, d_pre_ev, d_pre_gr).items():
             grads[name] += g
     if not np.isfinite(total):
-        raise NonFiniteObjective(f"objective is {total}")
+        raise NonFinite(f"objective is {total}")
     for name, g in grads.items():
         if not np.isfinite(g).all():
-            raise NonFiniteObjective(f"gradient of {name} has non-finite entries")
+            raise NonFinite(f"gradient of {name} has non-finite entries")
     return GradientBundle(objective=total, **grads)
 
 
@@ -112,7 +121,7 @@ def objective_and_gradients(params: ModelParams, cfg: ModelConfig, batch) -> Gra
     """Objective and its exact gradient, summed over ``(seq, grid)`` pairs.
 
     Summation order is fixed by batch, event, and grid order, so repeated
-    calls are bit-identical.  Raises ``NonFiniteObjective`` if the objective
+    calls are bit-identical.  Raises ``NonFinite`` if the objective
     or any gradient entry fails to be finite, naming the sequence when one
     is responsible.
     """

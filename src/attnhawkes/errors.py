@@ -83,11 +83,10 @@ class UnboundedIntensity(NumericalError):
 
 
 class NonFinite(NumericalError):
-    """A log-likelihood term is not finite."""
+    """A log-likelihood term, the training objective or its gradient is not finite."""
 
 
-class NonFiniteObjective(NumericalError):
-    """The training objective or its gradient is not finite."""
+NonFiniteObjective = NonFinite
 
 
 class Diverged(NumericalError):

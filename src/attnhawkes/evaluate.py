@@ -14,10 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._forward import SequenceCache, _softmax_rows, event_pre_all_types, forward
+from ._forward import SequenceCache, event_pre_all_types, forward
 from .domain import EventSequence, IntegrationGrid, make_grid
 from .errors import EmptySplit, NoSourceEvents
-from .model import VARIANT_ATTENTION, ModelConfig, ModelParams, temporal_embedding
+from .model import (
+    VARIANT_ATTENTION,
+    ModelConfig,
+    ModelParams,
+    _flushed_softmax,
+    _history_scores,
+    temporal_embedding,
+)
 from .numerics import softplus
 from .trainer import log_likelihood
 
@@ -114,11 +121,8 @@ def _probe_contributions(params, cfg, seq, event_index, taus, target):
     z_q = temporal_embedding(qt, cfg.embed_dim)
     z_ev = temporal_embedding(seq.times[:n_hist], cfg.embed_dim)
     gram = params.type_embed.T @ params.type_embed
-    raw = (z_q @ z_ev.T + gram[target, seq.types[:n_hist]][None, :]) / math.sqrt(
-        2.0 * cfg.embed_dim
-    )
-    mask = np.arange(n_hist)[None, :] < h[:, None]
-    attn = _softmax_rows(raw, mask)
+    scale = math.sqrt(2.0 * cfg.embed_dim)
+    attn = _flushed_softmax(_history_scores(z_q, z_ev, h), gram[target, seq.types[:n_hist]], scale)
     x_e = np.concatenate(
         [temporal_embedding(t_e, cfg.embed_dim), params.type_embed[:, seq.types[event_index]]]
     )

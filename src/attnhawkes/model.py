@@ -59,6 +59,28 @@ VARIANT_EXTRAPOLATION = "ex-ithp"
 # weight; exp(-50) is below any tolerance used downstream.
 SCORE_FLUSH = 50.0
 
+# Query rows per block in ``attention_matrix``, so its temporaries stay small.
+ATTENTION_ROW_BLOCK = 64
+
+
+def _history_scores(z_q: np.ndarray, z_ev: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Temporal scores ``z_q @ z_ev.T``, ``-inf`` past each row's history count ``h[n]``."""
+    block = z_q @ z_ev.T
+    block[np.arange(len(z_ev))[None, :] >= h[:, None]] = -np.inf
+    return block
+
+
+def _flushed_softmax(block: np.ndarray, type_scores, scale: float) -> np.ndarray:
+    """Row softmax of ``(block + type_scores) / scale``, flushed as in ``_masked_softmax``;
+    rows with an empty history give zero rows."""
+    raw = (block + type_scores) / scale
+    mx = raw.max(axis=1, keepdims=True, initial=-np.inf)
+    d = raw - np.where(np.isfinite(mx), mx, 0.0)
+    w = np.exp(d)
+    w[d < -SCORE_FLUSH] = 0.0
+    norm = w.sum(axis=1, keepdims=True)
+    return w / np.where(norm > 0.0, norm, 1.0)
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -419,13 +441,15 @@ def attention_matrix(
         modal = 0
     query_types = np.full(n_points, modal, dtype=np.int64)
     query_types[event_cols] = seq.types
+    h = np.searchsorted(seq.times, points, side="left")
+    z_q = temporal_embedding(points, cfg.embed_dim)
+    z_ev = temporal_embedding(seq.times, cfg.embed_dim)
+    gram = params.type_embed.T @ params.type_embed
+    scale = math.sqrt(2.0 * cfg.embed_dim)
     matrix = np.zeros((n_points, n_points))
-    for row in range(n_points):
-        h = int(np.searchsorted(seq.times, points[row], side="left"))
-        if h == 0:
-            continue
-        a = attention_weights(
-            params, cfg, float(points[row]), int(query_types[row]), seq.times[:h], seq.types[:h]
-        )
-        matrix[row, event_cols[:h]] = a
+    for lo in range(0, n_points, ATTENTION_ROW_BLOCK):
+        rows = slice(lo, lo + ATTENTION_ROW_BLOCK)
+        block = _history_scores(z_q[rows], z_ev, h[rows])
+        type_scores = gram[query_types[rows][:, None], seq.types[None, :]]
+        matrix[rows, event_cols] = _flushed_softmax(block, type_scores, scale)
     return AttentionMap(times=points.copy(), is_event=is_event, query_types=query_types, matrix=matrix)

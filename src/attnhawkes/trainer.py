@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._forward import SequenceCache, forward
-from .diff import _gradients_cached
+from .diff import _compensator, _event_term, _gradients_cached, _sequence_terms
 from .domain import Dataset, EventSequence, IntegrationGrid, make_grid
-from .errors import Diverged, EmptySplit, NonFinite, NonFiniteObjective
+from .errors import Diverged, EmptySplit, NonFinite
 from .model import (
     ModelConfig,
     ModelParams,
@@ -27,7 +27,7 @@ from .model import (
     param_shapes,
     unflatten_params,
 )
-from .numerics import log_softplus, softplus, softplus_inv
+from .numerics import softplus_inv
 
 __all__ = [
     "TrainConfig",
@@ -84,17 +84,9 @@ class TrainReport:
     wall_time: float = 0.0
 
 
-def _event_term_from_pre(pre_ev, context=""):
-    lam = softplus(pre_ev)
-    if not np.isfinite(pre_ev).all() or (lam == 0.0).any():
-        raise NonFinite(f"an event intensity is zero or non-finite{context}")
-    return float(np.sum(log_softplus(pre_ev)))
-
-
 def event_term(params: ModelParams, cfg: ModelConfig, seq: EventSequence) -> float:
     """Sum of log-intensities at the events, each seen with strictly prior history."""
-    fwd = forward(params, cfg, SequenceCache(cfg, seq))
-    return _event_term_from_pre(fwd.pre_ev)
+    return _event_term(forward(params, cfg, SequenceCache(cfg, seq)).pre_ev)
 
 
 def compensator(
@@ -108,23 +100,14 @@ def compensator(
     intensity integrates exactly.
     """
     cache = SequenceCache(cfg, seq, grid)
-    fwd = forward(params, cfg, cache)
-    value = float(cache.quad @ softplus(fwd.pre_gr).sum(axis=1))
-    if not np.isfinite(value):
-        raise NonFinite(f"compensator is {value}")
-    return value
+    return _compensator(cache, forward(params, cfg, cache).pre_gr)
 
 
 def log_likelihood(
     params: ModelParams, cfg: ModelConfig, seq: EventSequence, grid: IntegrationGrid
 ) -> float:
     """Event term minus compensator for one sequence."""
-    cache = SequenceCache(cfg, seq, grid)
-    fwd = forward(params, cfg, cache)
-    comp = float(cache.quad @ softplus(fwd.pre_gr).sum(axis=1))
-    if not np.isfinite(comp):
-        raise NonFinite(f"compensator is {comp}")
-    return _event_term_from_pre(fwd.pre_ev) - comp
+    return _sequence_terms(params, cfg, SequenceCache(cfg, seq, grid))[1]
 
 
 def empirical_rates(seqs, num_types: int) -> np.ndarray:
@@ -172,9 +155,7 @@ def _split_tll(params, cfg, caches):
     """Total log-likelihood per event over prebuilt caches."""
     total, events = 0.0, 0
     for cache in caches:
-        fwd = forward(params, cfg, cache)
-        comp = float(cache.quad @ softplus(fwd.pre_gr).sum(axis=1))
-        total += _event_term_from_pre(fwd.pre_ev) - comp
+        total += _sequence_terms(params, cfg, cache)[1]
         events += cache.length
     if events == 0:
         raise EmptySplit("split has no events")
@@ -252,7 +233,7 @@ def train(
             current = unflatten_params(vec, cfg)
             try:
                 bundle = _gradients_cached(current, cfg, chunk)
-            except NonFiniteObjective as err:
+            except NonFinite as err:
                 nonfinite_streak += 1
                 if nonfinite_streak >= 2:
                     raise Diverged(f"consecutive non-finite objectives: {err}") from err

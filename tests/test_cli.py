@@ -74,6 +74,20 @@ class TestSimulate:
         )
         assert code == 0
 
+    def test_long_inline_params(self, tmp_path, capsys):
+        # eight half-sine groups: the inline JSON is longer than a file name may be
+        alpha = (0.2 * np.eye(8) + 0.1 * np.roll(np.eye(8), 1, axis=0)).tolist()
+        spec = json.dumps({"mu": [0.05] * 8, "alpha": alpha})
+        assert len(spec) > 255
+        code = run_cli(
+            [
+                "simulate", "--kernel", "half-sine", "--params", spec,
+                "--num-seqs", "2", "--T", "4.0", "--out", str(tmp_path / "data"),
+            ]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["sequences"] == 2
+
     def test_bad_fractions_exit_2(self, tmp_path, capsys):
         code = run_cli(
             [

@@ -10,7 +10,7 @@ from attnhawkes.diff import (
     objective_value,
 )
 from attnhawkes.domain import EventSequence, make_grid
-from attnhawkes.errors import NonFiniteObjective
+from attnhawkes.errors import NonFinite, NonFiniteObjective
 from attnhawkes.model import (
     VARIANT_ATTENTION,
     VARIANT_EXTRAPOLATION,
@@ -172,6 +172,10 @@ class TestStructure:
         seq = EventSequence(times=[1.0], types=[0], horizon=2.0, num_types=1)
         with pytest.raises(NonFiniteObjective):
             objective_value(params, cfg, _batch(cfg, [seq]))
+
+    def test_one_non_finite_class(self):
+        # the objective, the gradient and the trainer's terms raise one class
+        assert NonFiniteObjective is NonFinite
 
     def test_perturbation_moves_objective_as_predicted(self, rng):
         cfg = ModelConfig(num_types=2, embed_dim=4)

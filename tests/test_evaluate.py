@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from attnhawkes._forward import SequenceCache, event_pre_all_types
 from attnhawkes.domain import EventSequence, make_grid
 from attnhawkes.errors import EmptySplit, NoSourceEvents
 from attnhawkes.evaluate import (
@@ -13,8 +14,10 @@ from attnhawkes.evaluate import (
 )
 from attnhawkes.evaluate import test_tll as split_tll  # bare name would be collected
 from attnhawkes.model import (
+    VARIANT_ATTENTION,
     VARIANT_EXTRAPOLATION,
     ModelConfig,
+    intensity_all_types,
     intensity_at,
     trigger_contribution,
     zeros_params,
@@ -73,6 +76,16 @@ class TestTypeAccuracy:
             type_accuracy(params, cfg, [lone])
         seq = EventSequence(times=[1.0, 2.0], types=[1, 0], horizon=5.0, num_types=2)
         assert type_accuracy(params, cfg, [lone, seq]) == 1.0
+
+    @pytest.mark.parametrize("variant", [VARIANT_ATTENTION, VARIANT_EXTRAPOLATION])
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_event_pre_matches_oracle(self, rng, variant, skip):
+        cfg = ModelConfig(num_types=3, embed_dim=8, variant=variant, skip_connection=skip)
+        params = random_params(cfg, rng)
+        seq = random_sequence(rng, 12, 3, 10.0)
+        pre = event_pre_all_types(params, cfg, SequenceCache(cfg, seq))
+        oracle = [intensity_all_types(params, cfg, seq, float(t)) for t in seq.times]
+        assert np.allclose(softplus(pre), oracle, rtol=0.0, atol=1e-12)
 
 
 class TestRecoverKernel:

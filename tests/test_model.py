@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -385,17 +386,36 @@ class TestAttentionMatrix:
         assert np.array_equal(sums[~nonempty], np.zeros((~nonempty).sum()))
 
     def test_event_rows_match_attention_weights(self, rng):
-        cfg = ModelConfig(num_types=2, embed_dim=8)
-        params = random_params(cfg, rng)
-        seq = EventSequence(times=[1.0, 4.0, 7.0], types=[0, 1, 0], horizon=10.0, num_types=2)
-        grid = make_grid(seq, 3)
-        amap = attention_matrix(params, cfg, seq, grid)
-        row = int(np.searchsorted(amap.times, 7.0))
-        expected = attention_weights(params, cfg, 7.0, 0, seq.times[:2], seq.types[:2])
-        cols = np.searchsorted(amap.times, seq.times[:2])
-        assert np.allclose(amap.matrix[row, cols], expected, atol=1e-12)
-        assert amap.is_event[row]
-        assert amap.query_types[row] == 0
+        # every row, over more than one row block, against the pointwise
+        # oracle: event rows, grid rows with the modal query type, and K=4;
+        # type embeddings scaled by 12 spread the type-pair scores far
+        # enough to force the flush
+        first = EventSequence(times=[1.0, 4.0, 7.0], types=[0, 1, 0], horizon=10.0, num_types=2)
+        cases = [
+            (2, 1.0, first),
+            (4, 1.0, random_sequence(rng, 30, 4, 10.0)),
+            (2, 12.0, random_sequence(rng, 30, 2, 10.0)),
+        ]
+        for k, embed_scale, seq in cases:
+            cfg = ModelConfig(num_types=k, embed_dim=8)
+            params = random_params(cfg, rng)
+            params = replace(params, type_embed=params.type_embed * embed_scale)
+            amap = attention_matrix(params, cfg, seq, make_grid(seq, 3))
+            modal = int(np.argmax(np.bincount(seq.types, minlength=k)))
+            cols = np.searchsorted(amap.times, seq.times)
+            assert np.array_equal(amap.is_event, np.isin(amap.times, seq.times))
+            flushed = 0
+            for row, t in enumerate(amap.times):
+                h = int(np.searchsorted(seq.times, t))
+                query_type = int(seq.types[h]) if amap.is_event[row] else modal
+                assert amap.query_types[row] == query_type
+                expected = np.zeros(len(amap.times))
+                expected[cols[:h]] = attention_weights(
+                    params, cfg, float(t), query_type, seq.times[:h], seq.types[:h]
+                )
+                assert np.allclose(amap.matrix[row], expected, rtol=0.0, atol=1e-12)
+                flushed += int((expected[cols[:h]] == 0.0).sum())
+            assert (flushed > 0) == (embed_scale > 1.0)
 
     def test_empty_sequence(self, rng):
         amap, seq, grid = self.build(rng, [], [])
