@@ -2,15 +2,22 @@
 
 Everything here works on a per-sequence basis: the caller batches by
 summing objective values and gradient arrays.  The forward pass produces
-pre-activations for the event log-terms and for every grid point and type;
-the backward pass turns cotangents of those pre-activations into parameter
-gradients.  Gradients are exact for the discretized objective.
+pre-activations for every query node and type, and reads the event
+log-terms out of them; the backward pass turns one cotangent of the node
+pre-activations into parameter gradients.  Gradients are exact for the
+discretized objective.
 
-Index conventions: ``L`` events, ``N`` grid evaluation nodes, ``M``
-embedding dim, ``K`` types, values of width ``M_V``.  ``h[n]`` is the
-history size at node ``n``: grid points that coincide with an event carry
-two nodes, one excluding the event (left limit) and one including it
-(right limit), weighted by the half-intervals on the matching sides.
+Index conventions: ``L`` events, ``N`` query nodes, ``M`` embedding dim,
+``K`` types, values of width ``M_V``.  ``h[n]`` is the history size at
+node ``n``.  With a grid, the nodes are the grid points followed by the
+right-limit copies of the event points: grid points that coincide with an
+event carry two nodes, one excluding the event (left limit) and one
+including it (right limit), weighted by the half-intervals on the
+matching sides.  Without a grid, the nodes are the events' left limits.
+``ev_node[i]`` is the left-limit node of event ``i``, where ``h == i``, so
+the event pre-activations are ``pre_gr[ev_node, types]`` and the event
+term's cotangent is added into those entries of the single (N, K) node
+cotangent.
 """
 
 from __future__ import annotations
@@ -48,43 +55,45 @@ class SequenceCache:
             self.onehot[np.arange(length), self.types] = 1.0
         if cfg.variant == VARIANT_EXTRAPOLATION and length and self.times[0] == 0.0:
             raise DegenerateAnchor("first event at t=0 cannot anchor extrapolation")
-        if cfg.variant == VARIANT_EXTRAPOLATION:
-            self.rel_elapsed_ev = np.zeros(length)
-            if length > 1:
-                self.rel_elapsed_ev[1:] = (self.times[1:] - self.times[:-1]) / self.times[:-1]
-        if grid is None:
-            self.grid = None
-            return
         self.grid = grid
-        pts = grid.times
-        ev_pos = np.searchsorted(pts, self.times)
-        if length and not np.array_equal(pts[ev_pos], self.times):
-            raise ValueError("grid does not contain every event time of the sequence")
-        dg = np.diff(pts)
-        left_half = np.zeros(len(pts))
-        right_half = np.zeros(len(pts))
-        if len(dg):
-            left_half[1:] = dg / 2.0
-            right_half[:-1] = dg / 2.0
-        is_ev_pt = np.zeros(len(pts), dtype=bool)
-        is_ev_pt[ev_pos] = True
-        # The intensity jumps at events, so each event grid point is
-        # evaluated twice: a left-limit copy closes the segment before it
-        # and a right-limit copy opens the one after.  Every segment's
-        # integrand is then smooth end to end and the trapezoid rule keeps
-        # its second-order convergence across event boundaries.
-        g = np.concatenate([pts, pts[is_ev_pt]])
-        self.g = g
-        self.h = np.concatenate(
-            [
-                np.searchsorted(self.times, pts, side="left"),
-                np.searchsorted(self.times, pts[is_ev_pt], side="right"),
-            ]
-        )
-        self.quad = np.concatenate(
-            [np.where(is_ev_pt, left_half, left_half + right_half), right_half[is_ev_pt]]
-        )
-        self.z_gr = temporal_embedding(g, cfg.embed_dim)  # (N, M)
+        if grid is None:
+            # the nodes are the events' left limits
+            g = self.times
+            self.h = np.arange(length)
+            self.ev_node = self.h
+            self.z_gr = self.z_ev
+        else:
+            pts = grid.times
+            ev_pos = np.searchsorted(pts, self.times)
+            if length and not np.array_equal(pts[ev_pos], self.times):
+                raise ValueError("grid does not contain every event time of the sequence")
+            dg = np.diff(pts)
+            left_half = np.zeros(len(pts))
+            right_half = np.zeros(len(pts))
+            if len(dg):
+                left_half[1:] = dg / 2.0
+                right_half[:-1] = dg / 2.0
+            is_ev_pt = np.zeros(len(pts), dtype=bool)
+            is_ev_pt[ev_pos] = True
+            # The intensity jumps at events, so each event grid point is
+            # evaluated twice: a left-limit copy closes the segment before it
+            # and a right-limit copy opens the one after.  Every segment's
+            # integrand is then smooth end to end and the trapezoid rule keeps
+            # its second-order convergence across event boundaries.
+            g = np.concatenate([pts, pts[is_ev_pt]])
+            self.h = np.concatenate(
+                [
+                    np.searchsorted(self.times, pts, side="left"),
+                    np.searchsorted(self.times, pts[is_ev_pt], side="right"),
+                ]
+            )
+            # an event's left-limit copy is its grid point, whose history is
+            # the events strictly before it
+            self.ev_node = ev_pos
+            self.quad = np.concatenate(
+                [np.where(is_ev_pt, left_half, left_half + right_half), right_half[is_ev_pt]]
+            )
+            self.z_gr = temporal_embedding(g, cfg.embed_dim)  # (N, M)
         if cfg.variant == VARIANT_EXTRAPOLATION:
             anchored = self.h > 0
             a = np.maximum(self.h - 1, 0)
@@ -116,12 +125,12 @@ def _embed(params: ModelParams, cache: SequenceCache) -> Forward:
     return f
 
 
-def _query_pre(params, cfg, cache, f, z_q, h):
-    """Attention-variant pre-activations (N, K) of queries at temporal
-    embeddings ``z_q`` with history counts ``h``, and each type's attention."""
+def _query_pre(params, cfg, cache, f):
+    """Attention-variant pre-activations (N, K) at the query nodes, and each type's attention."""
     m = cfg.embed_dim
     scale = math.sqrt(2.0 * m)
-    block = _history_scores(z_q, cache.z_ev, h)  # (N, L)
+    z_q = cache.z_gr
+    block = _history_scores(z_q, cache.z_ev, cache.h)  # (N, L)
     pre = np.empty((len(z_q), cfg.num_types))
     attn = []
     for k in range(cfg.num_types):
@@ -136,50 +145,25 @@ def _query_pre(params, cfg, cache, f, z_q, h):
 
 
 def forward(params: ModelParams, cfg: ModelConfig, cache: SequenceCache) -> Forward:
-    length = cache.length
-    c = cache.types
     f = _embed(params, cache)
-    block = _history_scores(cache.z_ev, cache.z_ev, np.arange(length))
-    f.attn_ev = _flushed_softmax(block, f.gram[c[:, None], c], math.sqrt(2.0 * cfg.embed_dim))
-
     if cfg.variant == VARIANT_EXTRAPOLATION:
+        c = cache.types
+        block = _history_scores(cache.z_ev, cache.z_ev, np.arange(cache.length))
+        f.attn_ev = _flushed_softmax(block, f.gram[c[:, None], c], math.sqrt(2.0 * cfg.embed_dim))
         f.attn_out = f.attn_ev @ f.values  # (L, M_V)
         f.mlp_pre = f.attn_out @ params.mlp_w1 + params.mlp_b1  # (L, M_H)
         f.mlp_hidden = np.maximum(f.mlp_pre, 0.0)
         hidden = f.mlp_hidden @ params.mlp_w2 + params.mlp_b2  # (L, M)
         f.hidden_read = hidden @ params.extrap_readout.T  # (L, K)
-        pre_ev = params.bias[c].copy()
-        if length > 1:
-            pre_ev[1:] += (
-                params.extrap_coef[c[1:]] * cache.rel_elapsed_ev[1:]
-                + f.hidden_read[np.arange(length - 1), c[1:]]
-            )
-        f.pre_ev = pre_ev
-        if cache.grid is not None:
-            n = len(cache.g)
-            pre_gr = np.tile(params.bias, (n, 1))
-            if length:
-                a, on = cache.anchor, cache.anchored
-                pre_gr[on] += (
-                    params.extrap_coef[None, :] * cache.rel_elapsed_gr[on, None]
-                    + f.hidden_read[a[on]]
-                )
-            f.pre_gr = pre_gr
-        else:
-            f.pre_gr = None
-        return f
-
-    aggregated = f.attn_ev @ f.value_read  # (L, K)
-    pre_ev = aggregated[np.arange(length), c] + params.bias[c] if length else np.zeros(0)
-    if cfg.skip_connection and length:
-        pre_ev = pre_ev + np.einsum("ij,ij->i", f.x_ev, params.readout[c])
-    f.pre_ev = pre_ev
-
-    if cache.grid is not None:
-        f.pre_gr, f.attn_gr = _query_pre(params, cfg, cache, f, cache.z_gr, cache.h)
+        f.pre_gr = np.tile(params.bias, (len(cache.h), 1))
+        on = cache.anchored
+        f.pre_gr[on] += (
+            params.extrap_coef[None, :] * cache.rel_elapsed_gr[on, None]
+            + f.hidden_read[cache.anchor[on]]
+        )
     else:
-        f.attn_gr = None
-        f.pre_gr = None
+        f.pre_gr, f.attn_gr = _query_pre(params, cfg, cache, f)
+    f.pre_ev = f.pre_gr[cache.ev_node, cache.types]
     return f
 
 
@@ -193,97 +177,61 @@ def backward(
     cfg: ModelConfig,
     cache: SequenceCache,
     f: Forward,
-    d_pre_ev: np.ndarray,
-    d_pre_gr: np.ndarray | None,
+    d_pre: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Parameter gradients given cotangents of the pre-activations."""
+    """Parameter gradients given the cotangent (N, K) of the node pre-activations."""
     length, m, k_types = cache.length, cfg.embed_dim, cfg.num_types
     scale = math.sqrt(2.0 * m)
     c = cache.types
-    idx = np.arange(length)
     grads = {
         "type_embed": np.zeros_like(params.type_embed),
         "value_proj": np.zeros_like(params.value_proj),
         "readout": np.zeros_like(params.readout),
-        "bias": np.zeros_like(params.bias),
+        "bias": d_pre.sum(axis=0),
     }
     d_gram = np.zeros((k_types, k_types))
-    d_values = np.zeros((length, cfg.value_dim))
-    d_attn_ev = np.zeros((length, length))
-
-    grads["bias"] += np.bincount(c, weights=d_pre_ev, minlength=k_types)
-    if d_pre_gr is not None:
-        grads["bias"] += d_pre_gr.sum(axis=0)
 
     if cfg.variant == VARIANT_EXTRAPOLATION:
-        for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2", "extrap_coef", "extrap_readout"):
-            grads[name] = np.zeros_like(getattr(params, name))
+        on = cache.anchored
+        grads["extrap_coef"] = cache.rel_elapsed_gr[on] @ d_pre[on]
         d_hidden_read = np.zeros((length, k_types))
-        if length > 1:
-            rel = cache.rel_elapsed_ev[1:]
-            grads["extrap_coef"] += np.bincount(
-                c[1:], weights=d_pre_ev[1:] * rel, minlength=k_types
-            )
-            np.add.at(d_hidden_read, (idx[:-1], c[1:]), d_pre_ev[1:])
-        if d_pre_gr is not None and length:
-            on = cache.anchored
-            grads["extrap_coef"] += cache.rel_elapsed_gr[on] @ d_pre_gr[on]
-            np.add.at(d_hidden_read, cache.anchor[on], d_pre_gr[on])
+        np.add.at(d_hidden_read, cache.anchor[on], d_pre[on])
         hidden = f.mlp_hidden @ params.mlp_w2 + params.mlp_b2
-        grads["extrap_readout"] += d_hidden_read.T @ hidden
+        grads["extrap_readout"] = d_hidden_read.T @ hidden
         d_hidden = d_hidden_read @ params.extrap_readout  # (L, M)
-        grads["mlp_b2"] += d_hidden.sum(axis=0)
-        grads["mlp_w2"] += f.mlp_hidden.T @ d_hidden
+        grads["mlp_b2"] = d_hidden.sum(axis=0)
+        grads["mlp_w2"] = f.mlp_hidden.T @ d_hidden
         d_mlp_pre = (d_hidden @ params.mlp_w2.T) * (f.mlp_pre > 0.0)
-        grads["mlp_b1"] += d_mlp_pre.sum(axis=0)
-        grads["mlp_w1"] += f.attn_out.T @ d_mlp_pre
+        grads["mlp_b1"] = d_mlp_pre.sum(axis=0)
+        grads["mlp_w1"] = f.attn_out.T @ d_mlp_pre
         d_attn_out = d_mlp_pre @ params.mlp_w1.T  # (L, M_V)
-        d_attn_ev += d_attn_out @ f.values.T
-        d_values += f.attn_ev.T @ d_attn_out
+        d_values = f.attn_ev.T @ d_attn_out
+        d_raw_ev = _softmax_backward(f.attn_ev, d_attn_out @ f.values.T) / scale
+        d_gram += cache.onehot.T @ d_raw_ev @ cache.onehot
     else:
-        # event queries: pre[i] = sum_j A[i, j] value_read[j, c_i] + bias
         d_value_read = np.zeros((length, k_types))
-        if length:
-            weighted = cache.onehot * d_pre_ev[:, None]  # (L, K)
-            d_attn_ev += d_pre_ev[:, None] * f.value_read.T[c]
-            d_value_read += f.attn_ev.T @ weighted
+        for k in range(k_types):
+            a_k = f.attn_gr[k]
+            d_a_k = d_pre[:, k][:, None] * f.value_read[:, k][None, :]
+            d_value_read[:, k] += a_k.T @ d_pre[:, k]
+            d_raw_k = _softmax_backward(a_k, d_a_k) / scale
+            d_gram[k] += np.bincount(c, weights=d_raw_k.sum(axis=0), minlength=k_types)
             if cfg.skip_connection:
-                grads["readout"] += weighted.T @ f.x_ev
-                d_x_skip = d_pre_ev[:, None] * params.readout[c]
-                grads["type_embed"] += d_x_skip[:, m:].T @ cache.onehot
-        if d_pre_gr is not None:
-            for k in range(k_types):
-                if length:
-                    a_k = f.attn_gr[k]
-                    d_a_k = d_pre_gr[:, k][:, None] * f.value_read[:, k][None, :]
-                    d_value_read[:, k] += a_k.T @ d_pre_gr[:, k]
-                    d_raw_k = _softmax_backward(a_k, d_a_k) / scale
-                    d_gram[k] += np.bincount(c, weights=d_raw_k.sum(axis=0), minlength=k_types)
-                if cfg.skip_connection:
-                    s = d_pre_gr[:, k]
-                    grads["readout"][k, :m] += s @ cache.z_gr
-                    grads["readout"][k, m:] += s.sum() * params.type_embed[:, k]
-                    grads["type_embed"][:, k] += s.sum() * params.readout[k, m:]
+                s = d_pre[:, k]
+                grads["readout"][k, :m] += s @ cache.z_gr
+                grads["readout"][k, m:] += s.sum() * params.type_embed[:, k]
+                grads["type_embed"][:, k] += s.sum() * params.readout[k, m:]
         grads["readout"] += d_value_read.T @ f.values
         # value_read = values @ readout.T, so cotangents flow straight back
-        d_values += d_value_read @ params.readout
+        d_values = d_value_read @ params.readout
 
-    if length:
-        d_raw_ev = _softmax_backward(f.attn_ev, d_attn_ev) / scale
-        d_gram += cache.onehot.T @ d_raw_ev @ cache.onehot
-        grads["value_proj"] += f.x_ev.T @ d_values
-        d_x = d_values @ params.value_proj.T  # (L, 2M)
-        grads["type_embed"] += d_x[:, m:].T @ cache.onehot
+    grads["value_proj"] += f.x_ev.T @ d_values
+    d_x = d_values @ params.value_proj.T  # (L, 2M)
+    grads["type_embed"] += d_x[:, m:].T @ cache.onehot
     grads["type_embed"] += params.type_embed @ (d_gram + d_gram.T)
     return grads
 
 
 def event_pre_all_types(params: ModelParams, cfg: ModelConfig, cache: SequenceCache) -> np.ndarray:
     """Pre-activations (L, K) treating each event time as a query of every type."""
-    if cfg.variant == VARIANT_EXTRAPOLATION:
-        hidden_read = forward(params, cfg, cache).hidden_read
-        pre = np.tile(params.bias, (cache.length, 1))
-        pre[1:] += params.extrap_coef[None, :] * cache.rel_elapsed_ev[1:, None] + hidden_read[:-1]
-        return pre
-    f = _embed(params, cache)
-    return _query_pre(params, cfg, cache, f, cache.z_ev, np.arange(cache.length))[0]
+    return forward(params, cfg, cache).pre_gr[cache.ev_node]

@@ -100,9 +100,9 @@ def _gradients_cached(params, cfg, caches):
     for i, cache in enumerate(caches):
         fwd, value = _sequence_terms(params, cfg, cache, f"sequence {i}: ")
         total += value
-        d_pre_ev = np.asarray(dlog_softplus(fwd.pre_ev))
-        d_pre_gr = -(cache.quad[:, None] * sigmoid(fwd.pre_gr))
-        for name, g in backward(params, cfg, cache, fwd, d_pre_ev, d_pre_gr).items():
+        d_pre = -(cache.quad[:, None] * sigmoid(fwd.pre_gr))
+        np.add.at(d_pre, (cache.ev_node, cache.types), dlog_softplus(fwd.pre_ev))
+        for name, g in backward(params, cfg, cache, fwd, d_pre).items():
             grads[name] += g
     if not np.isfinite(total):
         raise NonFinite(f"objective is {total}")

@@ -145,10 +145,14 @@ def recover_kernel(
     Probe events are the source-type events whose whole lag range stays in
     the window, subsampled with a deterministic stride to ``num_probes``;
     when no event has full coverage, all source events serve and each lag
-    averages over the probes still in the window.
+    averages over the probes still in the window.  ``source`` and ``target``
+    must be type ids in ``[0, K)``.
     """
     if cfg.variant != VARIANT_ATTENTION:
         raise ValueError("recover_kernel applies to the attention variant")
+    for role, k in (("source", source), ("target", target)):
+        if not 0 <= k < cfg.num_types:
+            raise ValueError(f"{role} type {k} outside [0, {cfg.num_types})")
     taus = np.asarray(tau_grid, dtype=np.float64)
     if taus.ndim != 1 or len(taus) == 0 or taus[0] <= 0.0:
         raise ValueError("tau_grid must be a nonempty 1-d array of positive lags")

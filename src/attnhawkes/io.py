@@ -199,13 +199,22 @@ def load_model(path) -> tuple[ModelParams, ModelConfig]:
         cfg = ModelConfig(**doc["config"])
     except (KeyError, TypeError, ValueError) as err:
         raise DataError(f"bad model config: {err}") from err
+    entries = doc.get("params", {})
+    if not isinstance(entries, dict):
+        raise DataError("model file's params must be a JSON object")
     arrays = {}
     for name, shape in param_shapes(cfg).items():
-        entry = doc.get("params", {}).get(name)
+        entry = entries.get(name)
         if entry is None:
             raise DataError(f"model file is missing parameter {name!r}")
-        data = np.asarray(entry.get("data"), dtype=np.float64)
-        if list(entry.get("shape", [])) != list(shape) or data.size != int(np.prod(shape)):
+        if not isinstance(entry, dict):
+            raise DataError(f"parameter {name!r} must be an object with shape and data")
+        try:
+            data = np.asarray(entry.get("data"), dtype=np.float64)
+            shape_ok = list(entry.get("shape", [])) == list(shape)
+        except (TypeError, ValueError) as err:
+            raise DataError(f"parameter {name!r} is malformed: {err}") from err
+        if not shape_ok or data.size != int(np.prod(shape)):
             raise DataError(f"parameter {name!r} has the wrong shape")
         arrays[name] = data.reshape(shape)
     params = ModelParams(**arrays)

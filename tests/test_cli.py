@@ -213,6 +213,19 @@ class TestArtifactCommands:
         assert lines[1] == "tau,phi_hat"
         assert len(lines) == 7
 
+    def test_recover_kernel_bad_type_exit_2(self, tmp_path, capsys, trained):
+        data, model = trained
+        for target in ("5", "-1"):
+            code = run_cli(
+                [
+                    "recover-kernel", "--model", str(model), "--data", str(data),
+                    "--split", "train", "--source", "0", "--target", target,
+                    "--out", str(tmp_path / "kernel.csv"),
+                ]
+            )
+            assert code == 2
+            assert "target type" in capsys.readouterr().err
+
     def test_heatmap_csv(self, tmp_path, capsys, trained):
         data, model = trained
         out = tmp_path / "heatmap.csv"

@@ -23,6 +23,7 @@ from attnhawkes.model import (
     zeros_params,
 )
 from attnhawkes.numerics import softplus
+from attnhawkes.trainer import compensator, event_term, log_likelihood
 
 from conftest import random_params, random_sequence
 
@@ -80,12 +81,23 @@ class TestTypeAccuracy:
     @pytest.mark.parametrize("variant", [VARIANT_ATTENTION, VARIANT_EXTRAPOLATION])
     @pytest.mark.parametrize("skip", [False, True])
     def test_event_pre_matches_oracle(self, rng, variant, skip):
-        cfg = ModelConfig(num_types=3, embed_dim=8, variant=variant, skip_connection=skip)
-        params = random_params(cfg, rng)
-        seq = random_sequence(rng, 12, 3, 10.0)
-        pre = event_pre_all_types(params, cfg, SequenceCache(cfg, seq))
-        oracle = [intensity_all_types(params, cfg, seq, float(t)) for t in seq.times]
-        assert np.allclose(softplus(pre), oracle, rtol=0.0, atol=1e-12)
+        # x12 type embeddings make the score flush fire
+        for num_types, embed_scale in ((3, 1.0), (4, 1.0), (4, 12.0)):
+            cfg = ModelConfig(
+                num_types=num_types, embed_dim=8, variant=variant, skip_connection=skip
+            )
+            params = random_params(cfg, rng)
+            params.type_embed[:] *= embed_scale
+            seq = random_sequence(rng, 12, num_types, 10.0)
+            pre = event_pre_all_types(params, cfg, SequenceCache(cfg, seq))
+            oracle = [intensity_all_types(params, cfg, seq, float(t)) for t in seq.times]
+            assert np.allclose(softplus(pre), oracle, rtol=0.0, atol=1e-12)
+            # the event term, alone and as read from the compensator grid's nodes
+            expected = sum(math.log(lam[c]) for lam, c in zip(oracle, seq.types))
+            grid = make_grid(seq, 3)
+            ll = log_likelihood(params, cfg, seq, grid) + compensator(params, cfg, seq, grid)
+            assert event_term(params, cfg, seq) == pytest.approx(expected, rel=1e-12)
+            assert ll == pytest.approx(expected, rel=1e-12)
 
 
 class TestRecoverKernel:
@@ -145,6 +157,14 @@ class TestRecoverKernel:
         assert est.num_probes == 7
         again = recover_kernel(params, cfg, seqs, 0, 0, np.array([0.5]), num_probes=7)
         assert np.array_equal(est.phi, again.phi)
+
+    def test_type_out_of_range_rejected(self, rng):
+        cfg = ModelConfig(num_types=2, embed_dim=4)
+        params = random_params(cfg, rng)
+        seq = EventSequence(times=[1.0, 2.0], types=[0, 1], horizon=5.0, num_types=2)
+        for source, target in ((0, 2), (0, -1), (2, 0), (-1, 0)):
+            with pytest.raises(ValueError):
+                recover_kernel(params, cfg, [seq], source, target, np.array([0.5]))
 
     def test_extrapolation_variant_rejected(self, rng):
         cfg = ModelConfig(num_types=1, embed_dim=4, variant=VARIANT_EXTRAPOLATION)

@@ -190,6 +190,17 @@ class TestModelFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError):
             load_model(path)
+        for mangle in (
+            lambda d: d.update(params=[]),
+            lambda d: d["params"].update(bias=0.5),
+            lambda d: d["params"]["bias"].update(shape=1),
+        ):
+            save_model(random_params(cfg, rng), cfg, path)
+            doc = json.loads(path.read_text())
+            mangle(doc)
+            path.write_text(json.dumps(doc))
+            with pytest.raises(DataError):
+                load_model(path)
 
 
 class TestCsvArtifacts:
