@@ -18,6 +18,12 @@ matching sides.  Without a grid, the nodes are the events' left limits.
 the event pre-activations are ``pre_gr[ev_node, types]`` and the event
 term's cotangent is added into those entries of the single (N, K) node
 cotangent.
+
+All query types share one temporal softmax ``attn_gr`` (N, L), reweighted per
+source event by the type-pair term ``type_w[j, k] = exp((gram[k, c_j] - max_c
+gram[k, c]) / s)`` (L, K): ``mix = num / den``, ``[num | den] = attn_gr @
+[type_w * value_read | type_w]``.  ``den`` is zero on empty-history rows, where
+``mix`` is zero; if it underflows on any other row, ``NonFinite`` is raised.
 """
 
 from __future__ import annotations
@@ -27,13 +33,13 @@ import math
 import numpy as np
 
 from .domain import EventSequence, IntegrationGrid
-from .errors import DegenerateAnchor
+from .errors import DegenerateAnchor, NonFinite
 from .model import (
     VARIANT_EXTRAPOLATION,
     ModelConfig,
     ModelParams,
-    _flushed_softmax,
     _history_scores,
+    _softmax_rows,
     temporal_embedding,
 )
 
@@ -110,8 +116,8 @@ class Forward:
     """Bag of forward-pass arrays kept for the backward pass."""
 
     __slots__ = (
-        "x_ev", "gram", "values", "value_read", "attn_ev", "pre_ev",
-        "attn_gr", "pre_gr", "attn_out", "mlp_pre", "mlp_hidden", "hidden_read",
+        "x_ev", "gram", "values", "value_read", "attn_ev", "pre_ev", "attn_gr", "type_w",
+        "den", "mix", "pre_gr", "attn_out", "mlp_pre", "mlp_hidden", "hidden_read",
     )
 
 
@@ -126,22 +132,21 @@ def _embed(params: ModelParams, cache: SequenceCache) -> Forward:
 
 
 def _query_pre(params, cfg, cache, f):
-    """Attention-variant pre-activations (N, K) at the query nodes, and each type's attention."""
+    """Attention-variant pre-activations (N, K) at the query nodes, by one shared softmax."""
     m = cfg.embed_dim
     scale = math.sqrt(2.0 * m)
     z_q = cache.z_gr
-    block = _history_scores(z_q, cache.z_ev, cache.h)  # (N, L)
-    pre = np.empty((len(z_q), cfg.num_types))
-    attn = []
-    for k in range(cfg.num_types):
-        a_k = _flushed_softmax(block, f.gram[k, cache.types], scale)
-        attn.append(a_k)
-        pre[:, k] = a_k @ f.value_read[:, k] + params.bias[k]
-        if cfg.skip_connection:
-            pre[:, k] += z_q @ params.readout[k, :m] + (
-                params.type_embed[:, k] @ params.readout[k, m:]
-            )
-    return pre, attn
+    f.attn_gr = _softmax_rows(_history_scores(z_q, cache.z_ev, cache.h), 0.0, scale)  # (N, L)
+    f.type_w = np.exp((f.gram[:, cache.types].T - f.gram.max(axis=1)) / scale)  # (L, K)
+    num_den = f.attn_gr @ np.concatenate([f.type_w * f.value_read, f.type_w], axis=1)
+    num, f.den = np.split(num_den, 2, axis=1)
+    if (f.den[cache.h > 0] < np.finfo(float).tiny).any():
+        raise NonFinite("type-pair attention weights underflow for a query with history")
+    f.mix = num / np.where(f.den > 0.0, f.den, 1.0)
+    pre = f.mix + params.bias
+    if cfg.skip_connection:
+        pre += z_q @ params.readout[:, :m].T + (params.type_embed.T * params.readout[:, m:]).sum(1)
+    return pre
 
 
 def forward(params: ModelParams, cfg: ModelConfig, cache: SequenceCache) -> Forward:
@@ -149,7 +154,7 @@ def forward(params: ModelParams, cfg: ModelConfig, cache: SequenceCache) -> Forw
     if cfg.variant == VARIANT_EXTRAPOLATION:
         c = cache.types
         block = _history_scores(cache.z_ev, cache.z_ev, np.arange(cache.length))
-        f.attn_ev = _flushed_softmax(block, f.gram[c[:, None], c], math.sqrt(2.0 * cfg.embed_dim))
+        f.attn_ev = _softmax_rows(block, f.gram[c[:, None], c], math.sqrt(2.0 * cfg.embed_dim))
         f.attn_out = f.attn_ev @ f.values  # (L, M_V)
         f.mlp_pre = f.attn_out @ params.mlp_w1 + params.mlp_b1  # (L, M_H)
         f.mlp_hidden = np.maximum(f.mlp_pre, 0.0)
@@ -162,7 +167,7 @@ def forward(params: ModelParams, cfg: ModelConfig, cache: SequenceCache) -> Forw
             + f.hidden_read[cache.anchor[on]]
         )
     else:
-        f.pre_gr, f.attn_gr = _query_pre(params, cfg, cache, f)
+        f.pre_gr = _query_pre(params, cfg, cache, f)
     f.pre_ev = f.pre_gr[cache.ev_node, cache.types]
     return f
 
@@ -182,14 +187,12 @@ def backward(
     """Parameter gradients given the cotangent (N, K) of the node pre-activations."""
     length, m, k_types = cache.length, cfg.embed_dim, cfg.num_types
     scale = math.sqrt(2.0 * m)
-    c = cache.types
     grads = {
         "type_embed": np.zeros_like(params.type_embed),
         "value_proj": np.zeros_like(params.value_proj),
         "readout": np.zeros_like(params.readout),
         "bias": d_pre.sum(axis=0),
     }
-    d_gram = np.zeros((k_types, k_types))
 
     if cfg.variant == VARIANT_EXTRAPOLATION:
         on = cache.anchored
@@ -207,20 +210,17 @@ def backward(
         d_attn_out = d_mlp_pre @ params.mlp_w1.T  # (L, M_V)
         d_values = f.attn_ev.T @ d_attn_out
         d_raw_ev = _softmax_backward(f.attn_ev, d_attn_out @ f.values.T) / scale
-        d_gram += cache.onehot.T @ d_raw_ev @ cache.onehot
+        d_gram = cache.onehot.T @ d_raw_ev @ cache.onehot
     else:
-        d_value_read = np.zeros((length, k_types))
-        for k in range(k_types):
-            a_k = f.attn_gr[k]
-            d_a_k = d_pre[:, k][:, None] * f.value_read[:, k][None, :]
-            d_value_read[:, k] += a_k.T @ d_pre[:, k]
-            d_raw_k = _softmax_backward(a_k, d_a_k) / scale
-            d_gram[k] += np.bincount(c, weights=d_raw_k.sum(axis=0), minlength=k_types)
-            if cfg.skip_connection:
-                s = d_pre[:, k]
-                grads["readout"][k, :m] += s @ cache.z_gr
-                grads["readout"][k, m:] += s.sum() * params.type_embed[:, k]
-                grads["type_embed"][:, k] += s.sum() * params.readout[k, m:]
+        q = d_pre / np.where(f.den > 0.0, f.den, 1.0)
+        r_num, r_den = np.split(f.attn_gr.T @ np.concatenate([q, q * f.mix], axis=1), 2, axis=1)
+        d_value_read = f.type_w * r_num
+        d_gram = (f.value_read * d_value_read - f.type_w * r_den).T @ cache.onehot / scale
+        if cfg.skip_connection:
+            # the query type's own skip term is constant over nodes, as the bias is
+            grads["readout"][:, :m] += d_pre.T @ cache.z_gr
+            grads["readout"][:, m:] += grads["bias"][:, None] * params.type_embed.T
+            grads["type_embed"] += params.readout[:, m:].T * grads["bias"]
         grads["readout"] += d_value_read.T @ f.values
         # value_read = values @ readout.T, so cotangents flow straight back
         d_values = d_value_read @ params.readout

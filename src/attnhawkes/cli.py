@@ -211,6 +211,8 @@ def _cmd_eval(args) -> int:
 def _cmd_recover_kernel(args) -> int:
     params, cfg = load_model(args.model)
     ds = load_data(args.data, args.time_scale)
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     taus = np.linspace(args.tau_max / args.steps, args.tau_max, args.steps)
     est = recover_kernel(
         params, cfg, ds.split(args.split), args.source, args.target, taus, args.num_probes

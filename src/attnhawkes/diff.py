@@ -61,27 +61,30 @@ def _build_caches(cfg, batch):
     return [SequenceCache(cfg, seq, grid) for seq, grid in batch]
 
 
-def _event_term(pre_ev, where=""):
+def _event_term(pre_ev):
     """Sum of event log-intensities; raises ``NonFinite`` on a zero or non-finite one."""
     if not np.isfinite(pre_ev).all() or (softplus(pre_ev) == 0.0).any():
-        raise NonFinite(f"{where}an event intensity is zero or non-finite")
+        raise NonFinite("an event intensity is zero or non-finite")
     return float(np.sum(log_softplus(pre_ev)))
 
 
-def _compensator(cache, pre_gr, where=""):
+def _compensator(cache, pre_gr):
     """Trapezoidal integral of the total grid intensity; raises ``NonFinite`` unless finite."""
     if not np.isfinite(pre_gr).all():
-        raise NonFinite(f"{where}a grid intensity is non-finite")
+        raise NonFinite("a grid intensity is non-finite")
     value = float(cache.quad @ softplus(pre_gr).sum(axis=1))
     if not np.isfinite(value):
-        raise NonFinite(f"{where}compensator is {value}")
+        raise NonFinite(f"compensator is {value}")
     return value
 
 
 def _sequence_terms(params, cfg, cache, where=""):
     """Forward pass and log-likelihood (event term minus compensator) of one sequence."""
-    fwd = forward(params, cfg, cache)
-    return fwd, _event_term(fwd.pre_ev, where) - _compensator(cache, fwd.pre_gr, where)
+    try:
+        fwd = forward(params, cfg, cache)
+        return fwd, _event_term(fwd.pre_ev) - _compensator(cache, fwd.pre_gr)
+    except NonFinite as err:
+        raise NonFinite(f"{where}{err}") from err
 
 
 def _objective_cached(params, cfg, caches):

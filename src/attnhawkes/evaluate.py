@@ -21,8 +21,8 @@ from .model import (
     VARIANT_ATTENTION,
     ModelConfig,
     ModelParams,
-    _flushed_softmax,
     _history_scores,
+    _softmax_rows,
     temporal_embedding,
 )
 from .numerics import softplus
@@ -122,7 +122,7 @@ def _probe_contributions(params, cfg, seq, event_index, taus, target):
     z_ev = temporal_embedding(seq.times[:n_hist], cfg.embed_dim)
     gram = params.type_embed.T @ params.type_embed
     scale = math.sqrt(2.0 * cfg.embed_dim)
-    attn = _flushed_softmax(_history_scores(z_q, z_ev, h), gram[target, seq.types[:n_hist]], scale)
+    attn = _softmax_rows(_history_scores(z_q, z_ev, h), gram[target, seq.types[:n_hist]], scale)
     x_e = np.concatenate(
         [temporal_embedding(t_e, cfg.embed_dim), params.type_embed[:, seq.types[event_index]]]
     )
@@ -146,10 +146,12 @@ def recover_kernel(
     the window, subsampled with a deterministic stride to ``num_probes``;
     when no event has full coverage, all source events serve and each lag
     averages over the probes still in the window.  ``source`` and ``target``
-    must be type ids in ``[0, K)``.
+    must be type ids in ``[0, K)``, and ``num_probes`` at least 1.
     """
     if cfg.variant != VARIANT_ATTENTION:
         raise ValueError("recover_kernel applies to the attention variant")
+    if num_probes < 1:
+        raise ValueError(f"num_probes must be at least 1, got {num_probes}")
     for role, k in (("source", source), ("target", target)):
         if not 0 <= k < cfg.num_types:
             raise ValueError(f"{role} type {k} outside [0, {cfg.num_types})")
@@ -191,7 +193,9 @@ def influence_heatmap(
     steps: int = 20,
     num_probes: int = DEFAULT_NUM_PROBES,
 ) -> Heatmap:
-    """Integrate each recovered kernel over ``[tau_max / steps, tau_max]``."""
+    """Integrate each recovered kernel over ``[tau_max / steps, tau_max]``; ``steps >= 1``."""
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     taus = np.linspace(tau_max / steps, tau_max, steps)
     k = cfg.num_types
     integrals = np.zeros((k, k))

@@ -55,8 +55,8 @@ __all__ = [
 VARIANT_ATTENTION = "ithp"
 VARIANT_EXTRAPOLATION = "ex-ithp"
 
-# Attention scores this far below the row maximum flush to exactly zero
-# weight; exp(-50) is below any tolerance used downstream.
+# In the pointwise oracle, attention scores this far below the row maximum
+# flush to exactly zero weight; exp(-50) is below any tolerance used downstream.
 SCORE_FLUSH = 50.0
 
 # Query rows per block in ``attention_matrix``, so its temporaries stay small.
@@ -70,14 +70,12 @@ def _history_scores(z_q: np.ndarray, z_ev: np.ndarray, h: np.ndarray) -> np.ndar
     return block
 
 
-def _flushed_softmax(block: np.ndarray, type_scores, scale: float) -> np.ndarray:
-    """Row softmax of ``(block + type_scores) / scale``, flushed as in ``_masked_softmax``;
-    rows with an empty history give zero rows."""
+def _softmax_rows(block: np.ndarray, type_scores, scale: float) -> np.ndarray:
+    """Row softmax of ``(block + type_scores) / scale``; rows with an empty history
+    give zero rows.  Unlike the pointwise ``_masked_softmax`` it does not flush."""
     raw = (block + type_scores) / scale
     mx = raw.max(axis=1, keepdims=True, initial=-np.inf)
-    d = raw - np.where(np.isfinite(mx), mx, 0.0)
-    w = np.exp(d)
-    w[d < -SCORE_FLUSH] = 0.0
+    w = np.exp(raw - np.where(np.isfinite(mx), mx, 0.0))
     norm = w.sum(axis=1, keepdims=True)
     return w / np.where(norm > 0.0, norm, 1.0)
 
@@ -451,5 +449,5 @@ def attention_matrix(
         rows = slice(lo, lo + ATTENTION_ROW_BLOCK)
         block = _history_scores(z_q[rows], z_ev, h[rows])
         type_scores = gram[query_types[rows][:, None], seq.types[None, :]]
-        matrix[rows, event_cols] = _flushed_softmax(block, type_scores, scale)
+        matrix[rows, event_cols] = _softmax_rows(block, type_scores, scale)
     return AttentionMap(times=points.copy(), is_event=is_event, query_types=query_types, matrix=matrix)

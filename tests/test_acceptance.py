@@ -8,8 +8,8 @@ compensator quadrature order, robustness to the embedding dimension,
 and byte-level CLI determinism.
 
 The two training fixtures retrain every model from scratch and dominate
-the runtime; expect 10-20 minutes on one core.  Everything is seeded,
-so reruns are bit-identical.
+the runtime (about 5 minutes on two cores, see the README).  Everything
+is seeded, so reruns are bit-identical.
 """
 
 import itertools

@@ -226,6 +226,21 @@ class TestArtifactCommands:
             assert code == 2
             assert "target type" in capsys.readouterr().err
 
+    def test_steps_or_num_probes_below_one_exit_2(self, tmp_path, capsys, trained):
+        data, model = trained
+        out = tmp_path / "out.csv"
+        common = ["--model", str(model), "--data", str(data), "--split", "train", "--out", str(out)]
+        kernel = ["recover-kernel", *common, "--source", "0", "--target", "0"]
+        for argv in (
+            [*kernel, "--steps", "0"],
+            [*kernel, "--num-probes", "0"],
+            ["heatmap", *common, "--steps", "0"],
+            ["heatmap", *common, "--num-probes", "0"],
+        ):
+            assert run_cli(argv) == 2
+            assert "at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_heatmap_csv(self, tmp_path, capsys, trained):
         data, model = trained
         out = tmp_path / "heatmap.csv"

@@ -11,15 +11,18 @@ from attnhawkes.diff import (
 )
 from attnhawkes.domain import EventSequence, make_grid
 from attnhawkes.errors import NonFinite, NonFiniteObjective
+from attnhawkes.evaluate import intensity_trace
 from attnhawkes.model import (
     VARIANT_ATTENTION,
     VARIANT_EXTRAPOLATION,
     ModelConfig,
     flatten_params,
+    intensity_all_types,
     perturb_param,
     zeros_params,
 )
 from attnhawkes.numerics import sigmoid, softplus
+from attnhawkes.trainer import log_likelihood
 
 from conftest import random_params, random_sequence
 
@@ -81,18 +84,25 @@ class TestClosedFormOracle:
 
 class TestGradientExactness:
     @pytest.mark.parametrize(
-        "variant,m,k,length",
+        "variant,m,k,length,skip,embed_scale",
         [
-            (VARIANT_ATTENTION, 4, 2, 5),
-            (VARIANT_ATTENTION, 8, 1, 0),
-            (VARIANT_EXTRAPOLATION, 4, 2, 5),
-            (VARIANT_EXTRAPOLATION, 6, 3, 1),
+            pytest.param(VARIANT_ATTENTION, 4, 2, 5, False, 1.0, id="ithp-4-2-5"),
+            pytest.param(VARIANT_ATTENTION, 8, 1, 0, False, 1.0, id="ithp-8-1-0"),
+            pytest.param(VARIANT_EXTRAPOLATION, 4, 2, 5, False, 1.0, id="ex-ithp-4-2-5"),
+            pytest.param(VARIANT_EXTRAPOLATION, 6, 3, 1, False, 1.0, id="ex-ithp-6-3-1"),
+            # x12 type embeddings spread each row's type-pair scores by
+            # about 140, far past the pointwise oracle's flush threshold
+            pytest.param(VARIANT_ATTENTION, 4, 4, 9, False, 12.0, id="ithp-4-4-9-x12"),
+            pytest.param(VARIANT_ATTENTION, 4, 4, 9, True, 12.0, id="ithp-4-4-9-x12-skip"),
         ],
     )
-    def test_matches_central_differences(self, variant, m, k, length):
+    def test_matches_central_differences(self, variant, m, k, length, skip, embed_scale):
         rng = np.random.default_rng(6)
-        cfg = ModelConfig(num_types=k, embed_dim=m, variant=variant, grid_subdivisions=3)
+        cfg = ModelConfig(
+            num_types=k, embed_dim=m, variant=variant, grid_subdivisions=3, skip_connection=skip
+        )
         params = random_params(cfg, rng)
+        params.type_embed[:] *= embed_scale
         seq = random_sequence(rng, length, k, 2.0)
         batch = _batch(cfg, [seq])
         exact = objective_and_gradients(params, cfg, batch).as_vector(cfg)
@@ -152,10 +162,16 @@ class TestStructure:
         seq = EventSequence(times=[1.0, 2.5, 4.0], types=[0, 0, 0], horizon=8.0, num_types=2)
         g = objective_and_gradients(params, cfg, _batch(cfg, [seq]))
         assert np.array_equal(g.type_embed[:, 1], np.zeros(4))
-        # the attention variant still queries type 1 through the compensator
-        cfg2 = ModelConfig(num_types=2, embed_dim=4)
-        g2 = objective_and_gradients(random_params(cfg2, rng), cfg2, _batch(cfg2, [seq]))
+        # the attention variant still queries type 1 through the compensator;
+        # with two source types its type-pair scores reweight the history
+        # (with one, they shift each row's scores evenly and cancel)
+        cfg2 = ModelConfig(num_types=3, embed_dim=4)
+        params2 = random_params(cfg2, rng)
+        seq2 = EventSequence(times=[1.0, 2.5, 4.0], types=[0, 2, 0], horizon=8.0, num_types=3)
+        g2 = objective_and_gradients(params2, cfg2, _batch(cfg2, [seq2]))
+        approx = finite_diff_gradient(params2, cfg2, _batch(cfg2, [seq2]), eps=1e-5)
         assert np.abs(g2.type_embed[:, 1]).max() > 0
+        assert _rel_err(g2.type_embed[:, 1], approx.type_embed[:, 1]) < 1e-4
 
     def test_objective_value_agrees_with_bundle(self, rng):
         cfg = ModelConfig(num_types=3, embed_dim=4)
@@ -172,6 +188,25 @@ class TestStructure:
         seq = EventSequence(times=[1.0], types=[0], horizon=2.0, num_types=1)
         with pytest.raises(NonFiniteObjective):
             objective_value(params, cfg, _batch(cfg, [seq]))
+
+    def test_type_pair_underflow_raises(self, rng):
+        # type embeddings +a and -a spread the type-pair scores by
+        # 2 * 4 * a**2 / sqrt(8): 1131 at a=20 underflows the type-1 weight
+        # of type-0 queries whose only history is the type-1 event; 636 at
+        # a=15 does not, so that input still matches the oracle
+        cfg = ModelConfig(num_types=2, embed_dim=4)
+        seq = EventSequence(times=[1.0, 2.0, 3.0], types=[1, 0, 0], horizon=4.0, num_types=2)
+        grid = make_grid(seq, cfg.grid_subdivisions)
+        params = random_params(cfg, rng)
+        params.type_embed[:] = [20.0, -20.0]
+        with pytest.raises(NonFinite):
+            log_likelihood(params, cfg, seq, grid)
+        with pytest.raises(NonFinite):
+            objective_and_gradients(params, cfg, [(seq, grid)])
+        params.type_embed[:] = [15.0, -15.0]
+        trace = intensity_trace(params, cfg, seq, grid)
+        oracle = [intensity_all_types(params, cfg, seq, float(t)) for t in grid.times]
+        assert np.allclose(trace.values, oracle, rtol=1e-12, atol=0.0)
 
     def test_one_non_finite_class(self):
         # the objective, the gradient and the trainer's terms raise one class

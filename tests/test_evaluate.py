@@ -166,6 +166,16 @@ class TestRecoverKernel:
             with pytest.raises(ValueError):
                 recover_kernel(params, cfg, [seq], source, target, np.array([0.5]))
 
+    def test_num_probes_below_one_rejected(self, rng):
+        cfg = ModelConfig(num_types=1, embed_dim=4)
+        params = random_params(cfg, rng)
+        seq = EventSequence(times=[1.0], types=[0], horizon=5.0, num_types=1)
+        for num_probes in (0, -1):
+            with pytest.raises(ValueError):
+                recover_kernel(params, cfg, [seq], 0, 0, np.array([0.5]), num_probes)
+            with pytest.raises(ValueError):
+                influence_heatmap(params, cfg, [seq], 1.0, 4, num_probes)
+
     def test_extrapolation_variant_rejected(self, rng):
         cfg = ModelConfig(num_types=1, embed_dim=4, variant=VARIANT_EXTRAPOLATION)
         params = random_params(cfg, rng)
@@ -191,6 +201,15 @@ class TestInfluenceHeatmap:
         seqs = [random_sequence(rng, 10, 2, 10.0)]
         hm = influence_heatmap(params, cfg, seqs, tau_max=0.5, steps=5)
         assert np.array_equal(hm.integrals, np.zeros((2, 2)))
+
+
+    def test_steps_below_one_rejected(self, rng):
+        cfg = ModelConfig(num_types=1, embed_dim=4)
+        params = random_params(cfg, rng)
+        seq = EventSequence(times=[1.0], types=[0], horizon=5.0, num_types=1)
+        for steps in (0, -2):
+            with pytest.raises(ValueError):
+                influence_heatmap(params, cfg, [seq], 1.0, steps)
 
 
 class TestIntensityTrace:
