@@ -35,7 +35,13 @@ from .io import (
     write_trace_csv,
 )
 from .model import VARIANT_ATTENTION, VARIANT_EXTRAPOLATION, ModelConfig, attention_matrix
-from .simulator import EXPONENTIAL, HALF_SINE, HawkesSpec, simulate_dataset, true_intensity
+from .simulator import (
+    EXPONENTIAL,
+    HALF_SINE,
+    HawkesSpec,
+    _true_intensities,
+    simulate_dataset,
+)
 from .trainer import TrainConfig, train
 
 __all__ = ["dataset_stats", "run_cli", "main"]
@@ -253,12 +259,8 @@ def _cmd_intensity_trace(args) -> int:
     true_values = None
     if args.true_spec is not None:
         spec = _hawkes_spec_from_json(_load_json_arg(args.true_spec))
-        true_values = np.array(
-            [
-                [true_intensity(spec, seq, float(t), k) for k in range(cfg.num_types)]
-                for t in grid.times
-            ]
-        )
+        # the model's K columns; a spec with fewer types raises IndexError, as before
+        true_values = _true_intensities(spec, seq, grid.times)[:, np.arange(cfg.num_types)]
     write_trace_csv(
         args.out, trace, true_values, {"split": args.split, "seq_index": args.seq_index}
     )

@@ -269,7 +269,8 @@ def write_attention_csv(path, amap, extra_meta: dict | None = None) -> None:
             "event" if amap.is_event[i] else "grid",
             str(int(amap.query_types[i])),
         ]
-        + [_fmt(v) for v in amap.matrix[i]]
+        # repr of a Python float is what _fmt writes, without a conversion per cell
+        + list(map(repr, amap.matrix[i].tolist()))
         for i in range(n)
     )
     _write_csv(path, meta, header, rows)

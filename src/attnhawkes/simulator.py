@@ -89,19 +89,36 @@ def kernel_eval(spec: HawkesSpec, target: int, source: int, tau):
     return out if out.ndim else float(out)
 
 
+# Query rows x events x types per block of ``_true_intensities``, so its
+# temporaries stay near 2 MB whatever the sequence length.
+_TRUE_INTENSITY_BLOCK_CELLS = 1 << 18
+
+
 def true_intensity(spec: HawkesSpec, seq: EventSequence, t: float, k: int) -> float:
     """Conditional intensity of type ``k`` at time ``t`` given events strictly before ``t``."""
-    n = int(np.searchsorted(seq.times, t, side="left"))
-    tau = t - seq.times[:n]
-    src = seq.types[:n]
-    lam = spec.mu[k]
-    if n:
+    return float(_true_intensities(spec, seq, [t])[0, k])
+
+
+def _true_intensities(spec: HawkesSpec, seq: EventSequence, times) -> np.ndarray:
+    """Conditional intensities (N, K) at each of ``times`` given the events strictly before it."""
+    times = np.asarray(times, dtype=np.float64)
+    k = spec.num_types
+    out = np.tile(spec.mu, (len(times), 1))
+    if not len(seq):
+        return out
+    alpha = spec.alpha[:, seq.types]  # (K, L)
+    rows = max(1, _TRUE_INTENSITY_BLOCK_CELLS // (len(seq) * k))
+    for lo in range(0, len(times), rows):
+        t = times[lo : lo + rows, None]
+        # an infinite lag stands for an event not strictly before t; it adds 0
+        tau = np.where(seq.times < t, t - seq.times, np.inf)  # (B, L)
         if spec.kernel == EXPONENTIAL:
-            lam += float(np.sum(spec.alpha[k, src] * np.exp(-spec.beta[k, src] * tau)))
+            decay = np.exp(-spec.beta[:, seq.types] * tau[:, None, :])  # (B, K, L)
+            out[lo : lo + rows] += (alpha * decay).sum(axis=2)
         else:
-            live = tau < math.pi
-            lam += float(np.sum(spec.alpha[k, src[live]] * np.sin(tau[live])))
-    return float(lam)
+            live = np.where(tau < math.pi, np.sin(np.minimum(tau, math.pi)), 0.0)
+            out[lo : lo + rows] += live @ alpha.T
+    return out
 
 
 def _thin_exponential(spec, horizon, rng):

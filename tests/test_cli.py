@@ -6,7 +6,7 @@ import pytest
 from attnhawkes.cli import dataset_stats, run_cli
 from attnhawkes.domain import Dataset, EventSequence
 from attnhawkes.errors import DataError
-from attnhawkes.io import load_data, load_model
+from attnhawkes.io import load_data, load_model, save_model, save_sequences
 from attnhawkes.model import ModelConfig, flatten_params
 from attnhawkes.trainer import init_params
 
@@ -239,6 +239,34 @@ class TestArtifactCommands:
         ):
             assert run_cli(argv) == 2
             assert "at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_tau_max_exit_2(self, tmp_path, capsys, trained):
+        data, model = trained
+        out = tmp_path / "out.csv"
+        common = ["--model", str(model), "--data", str(data), "--split", "train", "--out", str(out)]
+        for argv in (
+            ["heatmap", *common, "--tau-max", "nan"],
+            ["heatmap", *common, "--tau-max", "inf"],
+            ["recover-kernel", *common, "--source", "0", "--target", "0", "--tau-max", "nan"],
+        ):
+            assert run_cli(argv) == 2
+        assert not out.exists()
+
+    def test_heatmap_type_pair_underflow_exit_3(self, tmp_path, capsys):
+        # +-20 type embeddings underflow the type-1 event's weight for type-0 queries
+        cfg = ModelConfig(num_types=2, embed_dim=4)
+        seq = EventSequence(times=[1.0, 2.0, 3.0], types=[1, 0, 0], horizon=4.0, num_types=2)
+        params = init_params(cfg, [seq], 0)
+        params.type_embed[:] = [20.0, -20.0]
+        model = tmp_path / "model.json"
+        save_model(params, cfg, model)
+        data = tmp_path / "data.jsonl"
+        save_sequences([seq], data)
+        out = tmp_path / "heatmap.csv"
+        argv = ["heatmap", "--model", str(model), "--data", str(data), "--split", "train"]
+        assert run_cli([*argv, "--out", str(out)]) == 3
+        assert "numerical error" in capsys.readouterr().err
         assert not out.exists()
 
     def test_heatmap_csv(self, tmp_path, capsys, trained):

@@ -5,7 +5,7 @@ import pytest
 
 from attnhawkes._forward import SequenceCache, event_pre_all_types
 from attnhawkes.domain import EventSequence, make_grid
-from attnhawkes.errors import EmptySplit, NoSourceEvents
+from attnhawkes.errors import EmptySplit, NonFinite, NoSourceEvents
 from attnhawkes.evaluate import (
     influence_heatmap,
     intensity_trace,
@@ -26,6 +26,26 @@ from attnhawkes.numerics import softplus
 from attnhawkes.trainer import compensator, event_term, log_likelihood
 
 from conftest import random_params, random_sequence
+
+
+def _oracle_kernels(params, cfg, seqs, taus):
+    """Kernels (source, target, lag) from ``trigger_contribution``, averaged by hand
+    over every source event of full lag coverage, or every source event if none is
+    covered, each lag over the probes still in the window."""
+    k = cfg.num_types
+    phi = np.zeros((k, k, len(taus)))
+    for source in range(k):
+        probes = [(s, e) for s in seqs for e in np.flatnonzero(s.types == source)]
+        probes = [(s, e) for s, e in probes if s.times[e] + taus[-1] <= s.horizon] or probes
+        for target in range(k):
+            for j, tau in enumerate(taus):
+                values = [
+                    trigger_contribution(params, cfg, s, e, s.times[e] + tau, target)
+                    for s, e in probes
+                    if s.times[e] + tau <= s.horizon
+                ]
+                phi[source, target, j] = np.mean(values) if values else 0.0
+    return phi
 
 
 class TestTestTll:
@@ -176,6 +196,59 @@ class TestRecoverKernel:
             with pytest.raises(ValueError):
                 influence_heatmap(params, cfg, [seq], 1.0, 4, num_probes)
 
+    @pytest.mark.parametrize("num_types", [1, 2, 4])
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("embed_scale", [1.0, 12.0])
+    def test_pooled_kernels_match_oracle_average(self, rng, num_types, skip, embed_scale):
+        # several probes in each of several sequences; the first grid's probes
+        # stay in the window, the second grid leaves it for every source event
+        cfg = ModelConfig(num_types=num_types, embed_dim=8, skip_connection=skip)
+        params = random_params(cfg, rng)
+        params.type_embed[:] *= embed_scale
+        seqs = [random_sequence(rng, 10, num_types, 6.0) for _ in range(3)]
+        for taus in (np.linspace(0.2, 1.0, 5), np.array([0.5, 2.0, 4.5, 9.0])):
+            expected = _oracle_kernels(params, cfg, seqs, taus)
+            scale = np.abs(expected).max()
+            for source in range(num_types):
+                for target in range(num_types):
+                    est = recover_kernel(params, cfg, seqs, source, target, taus)
+                    assert np.abs(est.phi - expected[source, target]).max() <= 1e-12 * scale
+        # the heatmap's lags at tau_max 1 and 5 steps are the first grid's
+        taus = np.linspace(0.2, 1.0, 5)
+        integrals = np.trapezoid(_oracle_kernels(params, cfg, seqs, taus), taus).T
+        hm = influence_heatmap(params, cfg, seqs, tau_max=1.0, steps=5)
+        assert np.abs(hm.integrals - integrals).max() <= 1e-12 * np.abs(integrals).max()
+
+    def test_probe_type_pair_underflow_raises(self, rng):
+        # the input of test_type_pair_underflow_raises: at +-20 the type-1
+        # event's weight underflows for type-0 queries whose only history it is
+        cfg = ModelConfig(num_types=2, embed_dim=4)
+        seq = EventSequence(times=[1.0, 2.0, 3.0], types=[1, 0, 0], horizon=4.0, num_types=2)
+        params = random_params(cfg, rng)
+        params.type_embed[:] = [20.0, -20.0]
+        taus = np.linspace(0.05, 1.0, 20)
+        with pytest.raises(NonFinite):
+            recover_kernel(params, cfg, [seq], 1, 0, taus)
+        with pytest.raises(NonFinite):
+            influence_heatmap(params, cfg, [seq])
+        # at +-15 the pair (0, 1) reads about 7e-276 where the oracle flushes
+        # to 0, so errors are measured against the largest value of any pair
+        params.type_embed[:] = [15.0, -15.0]
+        expected = _oracle_kernels(params, cfg, [seq], taus)
+        scale = np.abs(expected).max()
+        for source in range(2):
+            for target in range(2):
+                est = recover_kernel(params, cfg, [seq], source, target, taus)
+                assert np.abs(est.phi - expected[source, target]).max() <= 1e-12 * scale
+
+    def test_non_finite_or_unordered_lags_rejected(self, rng):
+        cfg = ModelConfig(num_types=1, embed_dim=4)
+        params = random_params(cfg, rng)
+        seq = EventSequence(times=[1.0], types=[0], horizon=5.0, num_types=1)
+        for taus in ([np.nan], [0.5, np.nan], [0.5, np.inf], [0.5, 0.5], [1.0, 0.5]):
+            with pytest.raises(ValueError):
+                recover_kernel(params, cfg, [seq], 0, 0, np.array(taus))
+
     def test_extrapolation_variant_rejected(self, rng):
         cfg = ModelConfig(num_types=1, embed_dim=4, variant=VARIANT_EXTRAPOLATION)
         params = random_params(cfg, rng)
@@ -202,6 +275,14 @@ class TestInfluenceHeatmap:
         hm = influence_heatmap(params, cfg, seqs, tau_max=0.5, steps=5)
         assert np.array_equal(hm.integrals, np.zeros((2, 2)))
 
+
+    def test_non_finite_tau_max_rejected(self, rng):
+        cfg = ModelConfig(num_types=1, embed_dim=4)
+        params = random_params(cfg, rng)
+        seq = EventSequence(times=[1.0], types=[0], horizon=5.0, num_types=1)
+        for tau_max in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                influence_heatmap(params, cfg, [seq], tau_max, 4)
 
     def test_steps_below_one_rejected(self, rng):
         cfg = ModelConfig(num_types=1, embed_dim=4)

@@ -7,6 +7,7 @@ from attnhawkes.domain import Dataset, EventSequence
 from attnhawkes.errors import DataError, EmptyDataset, ParseError, ValidationError
 from attnhawkes.evaluate import KernelEstimate
 from attnhawkes.io import (
+    _fmt,
     load_data,
     load_model,
     load_sequences,
@@ -250,6 +251,25 @@ class TestCsvArtifacts:
         assert len(lines) == 2 + n
         kinds = [line.split(",")[1] for line in lines[2:]]
         assert kinds.count("event") == 2
+
+    def test_attention_csv_cells_as_fmt(self, tmp_path):
+        from attnhawkes.model import AttentionMap
+
+        cells = [-0.0, np.nan, 5e-324, 1e-300, 0.1 + 0.2]
+        n = len(cells)
+        amap = AttentionMap(
+            times=np.linspace(0.0, 1.0, n),
+            is_event=np.zeros(n, dtype=bool),
+            query_types=np.zeros(n, dtype=np.int64),
+            matrix=np.array([np.roll(cells, i) for i in range(n)]),
+        )
+        path = tmp_path / "attention.csv"
+        write_attention_csv(path, amap)
+        expected = [
+            ",".join([_fmt(t), "grid", "0"] + [_fmt(x) for x in row])
+            for t, row in zip(amap.times, amap.matrix)
+        ]
+        assert path.read_bytes().decode().split("\n")[2:] == expected + [""]
 
     def test_trace_csv_with_truth(self, tmp_path):
         from attnhawkes.evaluate import IntensityTrace

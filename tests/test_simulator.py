@@ -9,6 +9,7 @@ from attnhawkes.simulator import (
     EXPONENTIAL,
     HALF_SINE,
     HawkesSpec,
+    _true_intensities,
     kernel_eval,
     simulate_dataset,
     thin_simulate,
@@ -110,6 +111,39 @@ class TestTrueIntensity:
                 if times[i] < t
             )
             assert true_intensity(spec, s, t, k) == pytest.approx(float(expected), rel=1e-12)
+
+
+def _scalar_true_intensity(spec, seq, t, k):
+    """The per-point formula ``true_intensity`` had before it was vectorized."""
+    n = int(np.searchsorted(seq.times, t, side="left"))
+    tau = t - seq.times[:n]
+    src = seq.types[:n]
+    lam = spec.mu[k]
+    if n:
+        if spec.kernel == EXPONENTIAL:
+            lam += float(np.sum(spec.alpha[k, src] * np.exp(-spec.beta[k, src] * tau)))
+        else:
+            live = tau < math.pi
+            lam += float(np.sum(spec.alpha[k, src[live]] * np.sin(tau[live])))
+    return float(lam)
+
+
+class TestTrueIntensities:
+    @pytest.mark.parametrize("spec", [EXP_SPEC, SINE_SPEC], ids=["exp", "half-sine"])
+    def test_matches_scalar_formula(self, rng, spec):
+        times = np.sort(rng.uniform(0, 9, size=30))
+        types = rng.integers(0, 2, size=30)
+        seq = EventSequence(times=times, types=types, horizon=10.0, num_types=2)
+        empty = EventSequence(times=[], types=[], horizon=10.0, num_types=2)
+        # query times on events, between them, and lags past pi after the last
+        query = np.sort(np.concatenate([times, rng.uniform(0, 10, size=40), [0.0, 10.0]]))
+        for s in (seq, empty):
+            values = _true_intensities(spec, s, query)
+            assert values.shape == (len(query), 2)
+            expected = [[_scalar_true_intensity(spec, s, t, k) for k in range(2)] for t in query]
+            assert np.allclose(values, expected, rtol=1e-12, atol=0.0)
+            for k in range(2):
+                assert true_intensity(spec, s, float(query[7]), k) == values[7, k]
 
 
 class TestThinSimulate:
