@@ -3,9 +3,9 @@
 Everything here works on a per-sequence basis: the caller batches by
 summing objective values and gradient arrays.  The forward pass produces
 pre-activations for every query node and type, and reads the event
-log-terms out of them; the backward pass turns one cotangent of the node
-pre-activations into parameter gradients.  Gradients are exact for the
-discretized objective.
+log-terms out of them; given a cotangent of the node pre-activations, it
+also accumulates what the backward pass turns into parameter gradients.
+Gradients are exact for the discretized objective.
 
 Index conventions: ``L`` events, ``N`` query nodes, ``M`` embedding dim,
 ``K`` types, values of width ``M_V``.  ``h[n]`` is the history size at
@@ -19,11 +19,19 @@ the event pre-activations are ``pre_gr[ev_node, types]`` and the event
 term's cotangent is added into those entries of the single (N, K) node
 cotangent.
 
-All query types share one temporal softmax ``attn_gr`` (N, L), reweighted per
-source event by the type-pair term ``type_w[j, k] = exp((gram[k, c_j] - max_c
-gram[k, c]) / s)`` (L, K): ``mix = num / den``, ``[num | den] = attn_gr @
-[type_w * value_read | type_w]``.  ``den`` is zero on empty-history rows, where
-``mix`` is zero; if it underflows on any other row, ``NonFinite`` is raised.
+All query types share one temporal softmax ``E`` (N, L), reweighted per source
+event by the type-pair term ``type_w[j, k] = exp((gram[k, c_j] - max_c gram[k,
+c]) / s)`` (L, K): ``mix = num / den``, ``[num | den] = E @ [type_w * value_read
+| type_w]``.  ``den`` is zero on empty-history rows, where ``mix`` is zero; if it
+underflows on any other row, ``NonFinite`` is raised.
+
+``E`` is never held whole.  The cache keeps a parameter-free plan of row blocks
+(``model._row_blocks``): each block of B nodes gets its own softmax ``E_b`` (B,
+cols), trimmed to the block's largest history, and its rows of ``[num | den]``.
+When a cotangent is wanted, the same pass calls it on the block's
+pre-activations and adds ``E_b.T @ [q | q * mix]``, with ``q = d_pre / den``,
+into ``r`` (L, 2K), so ``backward`` needs no softmax and memory stays
+O(B·L + N·K).
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     _history_scores,
+    _row_blocks,
     _softmax_rows,
     temporal_embedding,
 )
@@ -110,14 +119,15 @@ class SequenceCache:
             self.anchor = a
             self.anchored = anchored
             self.rel_elapsed_gr = rel
+        self.blocks = list(_row_blocks(self.h))
 
 
 class Forward:
     """Bag of forward-pass arrays kept for the backward pass."""
 
     __slots__ = (
-        "x_ev", "gram", "values", "value_read", "attn_ev", "pre_ev", "attn_gr", "type_w",
-        "den", "mix", "pre_gr", "attn_out", "mlp_pre", "mlp_hidden", "hidden_read",
+        "x_ev", "gram", "values", "value_read", "attn_ev", "pre_ev", "type_w", "pre_gr",
+        "d_pre", "r", "attn_out", "mlp_pre", "mlp_hidden", "hidden_read",
     )
 
 
@@ -131,25 +141,44 @@ def _embed(params: ModelParams, cache: SequenceCache) -> Forward:
     return f
 
 
-def _query_pre(params, cfg, cache, f):
-    """Attention-variant pre-activations (N, K) at the query nodes, by one shared softmax."""
+def _query_pre(params, cfg, cache, f, cotangent):
+    """Attention-variant pre-activations (N, K) at the query nodes, one row block at a time."""
     m = cfg.embed_dim
     scale = math.sqrt(2.0 * m)
-    z_q = cache.z_gr
-    f.attn_gr = _softmax_rows(_history_scores(z_q, cache.z_ev, cache.h), 0.0, scale)  # (N, L)
+    z_q, h = cache.z_gr, cache.h
     f.type_w = np.exp((f.gram[:, cache.types].T - f.gram.max(axis=1)) / scale)  # (L, K)
-    num_den = f.attn_gr @ np.concatenate([f.type_w * f.value_read, f.type_w], axis=1)
-    num, f.den = np.split(num_den, 2, axis=1)
-    if (f.den[cache.h > 0] < np.finfo(float).tiny).any():
-        raise NonFinite("type-pair attention weights underflow for a query with history")
-    f.mix = num / np.where(f.den > 0.0, f.den, 1.0)
-    pre = f.mix + params.bias
+    rhs = np.concatenate([f.type_w * f.value_read, f.type_w], axis=1)  # (L, 2K)
+    pre = np.empty((len(h), cfg.num_types))
     if cfg.skip_connection:
-        pre += z_q @ params.readout[:, :m].T + (params.type_embed.T * params.readout[:, m:]).sum(1)
+        skip = z_q @ params.readout[:, :m].T + (params.type_embed.T * params.readout[:, m:]).sum(1)
+    if cotangent is not None:
+        f.d_pre = np.empty_like(pre)
+        f.r = np.zeros_like(rhs)
+    for lo, hi, cols in cache.blocks:
+        e_b = _softmax_rows(_history_scores(z_q[lo:hi], cache.z_ev[:cols], h[lo:hi]), 0.0, scale)
+        num, den = np.split(e_b @ rhs[:cols], 2, axis=1)
+        if (den[h[lo:hi] > 0] < np.finfo(float).tiny).any():
+            raise NonFinite("type-pair attention weights underflow for a query with history")
+        den = np.where(den > 0.0, den, 1.0)
+        mix = num / den
+        pre[lo:hi] = mix + params.bias
+        if cfg.skip_connection:
+            pre[lo:hi] += skip[lo:hi]
+        if cotangent is not None:
+            d = f.d_pre[lo:hi] = cotangent(lo, hi, pre[lo:hi])
+            q = d / den
+            f.r[:cols] += e_b.T @ np.concatenate([q, q * mix], axis=1)
     return pre
 
 
-def forward(params: ModelParams, cfg: ModelConfig, cache: SequenceCache) -> Forward:
+def forward(
+    params: ModelParams, cfg: ModelConfig, cache: SequenceCache, cotangent=None
+) -> Forward:
+    """Forward pass; with ``cotangent``, also what ``backward`` needs.
+
+    ``cotangent(lo, hi, pre)`` returns the objective's cotangent of the node
+    pre-activations ``pre`` of rows ``lo:hi``; it is kept as ``f.d_pre``.
+    """
     f = _embed(params, cache)
     if cfg.variant == VARIANT_EXTRAPOLATION:
         c = cache.types
@@ -166,8 +195,10 @@ def forward(params: ModelParams, cfg: ModelConfig, cache: SequenceCache) -> Forw
             params.extrap_coef[None, :] * cache.rel_elapsed_gr[on, None]
             + f.hidden_read[cache.anchor[on]]
         )
+        if cotangent is not None:
+            f.d_pre = cotangent(0, len(cache.h), f.pre_gr)
     else:
-        f.pre_gr = _query_pre(params, cfg, cache, f)
+        f.pre_gr = _query_pre(params, cfg, cache, f, cotangent)
     f.pre_ev = f.pre_gr[cache.ev_node, cache.types]
     return f
 
@@ -182,10 +213,10 @@ def backward(
     cfg: ModelConfig,
     cache: SequenceCache,
     f: Forward,
-    d_pre: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Parameter gradients given the cotangent (N, K) of the node pre-activations."""
+    """Parameter gradients from ``forward(..., cotangent)``, by (L, ·) algebra on its ``r``."""
     length, m, k_types = cache.length, cfg.embed_dim, cfg.num_types
+    d_pre = f.d_pre
     scale = math.sqrt(2.0 * m)
     grads = {
         "type_embed": np.zeros_like(params.type_embed),
@@ -212,8 +243,7 @@ def backward(
         d_raw_ev = _softmax_backward(f.attn_ev, d_attn_out @ f.values.T) / scale
         d_gram = cache.onehot.T @ d_raw_ev @ cache.onehot
     else:
-        q = d_pre / np.where(f.den > 0.0, f.den, 1.0)
-        r_num, r_den = np.split(f.attn_gr.T @ np.concatenate([q, q * f.mix], axis=1), 2, axis=1)
+        r_num, r_den = np.split(f.r, 2, axis=1)
         d_value_read = f.type_w * r_num
         d_gram = (f.value_read * d_value_read - f.type_w * r_den).T @ cache.onehot / scale
         if cfg.skip_connection:

@@ -259,8 +259,11 @@ def _cmd_intensity_trace(args) -> int:
     true_values = None
     if args.true_spec is not None:
         spec = _hawkes_spec_from_json(_load_json_arg(args.true_spec))
-        # the model's K columns; a spec with fewer types raises IndexError, as before
-        true_values = _true_intensities(spec, seq, grid.times)[:, np.arange(cfg.num_types)]
+        if spec.num_types != cfg.num_types:
+            raise DataError(
+                f"--true-spec has {spec.num_types} types, the model has {cfg.num_types}"
+            )
+        true_values = _true_intensities(spec, seq, grid.times)
     write_trace_csv(
         args.out, trace, true_values, {"split": args.split, "seq_index": args.seq_index}
     )

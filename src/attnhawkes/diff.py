@@ -78,10 +78,25 @@ def _compensator(cache, pre_gr):
     return value
 
 
-def _sequence_terms(params, cfg, cache, where=""):
+def _cotangent(cache):
+    """The log-likelihood's cotangent of the node pre-activations, by row block:
+    ``-quad * sigmoid(pre)``, plus ``dlog_softplus`` at the block's event rows."""
+
+    def cotangent(lo, hi, pre):
+        d = -(cache.quad[lo:hi, None] * sigmoid(pre))
+        # ev_node is nondecreasing, so the block's events are one slice
+        a, b = np.searchsorted(cache.ev_node, (lo, hi))
+        rows, types = cache.ev_node[a:b] - lo, cache.types[a:b]
+        np.add.at(d, (rows, types), dlog_softplus(pre[rows, types]))
+        return d
+
+    return cotangent
+
+
+def _sequence_terms(params, cfg, cache, where="", cotangent=None):
     """Forward pass and log-likelihood (event term minus compensator) of one sequence."""
     try:
-        fwd = forward(params, cfg, cache)
+        fwd = forward(params, cfg, cache, cotangent)
         return fwd, _event_term(fwd.pre_ev) - _compensator(cache, fwd.pre_gr)
     except NonFinite as err:
         raise NonFinite(f"{where}{err}") from err
@@ -101,11 +116,9 @@ def _gradients_cached(params, cfg, caches):
     total = 0.0
     grads = _zero_grads(cfg)
     for i, cache in enumerate(caches):
-        fwd, value = _sequence_terms(params, cfg, cache, f"sequence {i}: ")
+        fwd, value = _sequence_terms(params, cfg, cache, f"sequence {i}: ", _cotangent(cache))
         total += value
-        d_pre = -(cache.quad[:, None] * sigmoid(fwd.pre_gr))
-        np.add.at(d_pre, (cache.ev_node, cache.types), dlog_softplus(fwd.pre_ev))
-        for name, g in backward(params, cfg, cache, fwd, d_pre).items():
+        for name, g in backward(params, cfg, cache, fwd).items():
             grads[name] += g
     if not np.isfinite(total):
         raise NonFinite(f"objective is {total}")

@@ -8,13 +8,13 @@ averaged over probe events.
 
 The probe pool depends only on the source type, so one pass per source
 serves every target.  The pass embeds each probed sequence once and stacks
-the in-window lag queries of all its probes, in time order, into row blocks
-of at most ``PROBE_BLOCK_CELLS`` rows x history columns.  Each block gets one
-temporal softmax ``attn`` and one product ``den = attn @ type_w`` with the
-(L, K) type-pair reweighting of ``_forward._query_pre``; the contribution of
-probe event ``e`` to a target-``k`` query is ``attn[:, e] * type_w[e, k] /
-den[:, k] * value_read[e, k]``.  As in training, a ``den`` that underflows
-raises ``NonFinite``.
+the in-window lag queries of all its probes, in time order, into the row
+blocks of ``model._row_blocks``, the plan grid attention uses.  Each block
+gets one temporal softmax ``attn`` and one product ``den = attn @ type_w``
+with the (L, K) type-pair reweighting of ``_forward._query_pre``; the
+contribution of probe event ``e`` to a target-``k`` query is ``attn[:, e] *
+type_w[e, k] / den[:, k] * value_read[e, k]``.  As in training, a ``den``
+that underflows raises ``NonFinite``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     _history_scores,
+    _row_blocks,
     _softmax_rows,
     temporal_embedding,
 )
@@ -50,12 +51,6 @@ __all__ = [
 ]
 
 DEFAULT_NUM_PROBES = 200
-
-# Probe query rows times history columns per block of the pooled kernel pass,
-# so each (rows, columns) temporary stays at 512 KB whatever the sequence length.
-# On 400-1000-event sequences this ran twice as fast as 1 << 18: smaller blocks
-# carry fewer masked cells past each row's history and stay in cache.
-PROBE_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,16 +140,6 @@ def _probe_pool(seqs, source: int, taus: np.ndarray, num_probes: int) -> list:
     return pool
 
 
-def _block_ends(h: np.ndarray):
-    """Ends of consecutive row blocks, each of at most ``PROBE_BLOCK_CELLS`` rows
-    times its last row's history ``h`` (one row at least); ``h`` is nondecreasing."""
-    lo = 0
-    while lo < len(h):
-        cells = np.arange(1, len(h) - lo + 1) * h[lo:]
-        lo += max(1, int(np.searchsorted(cells, PROBE_BLOCK_CELLS, side="right")))
-        yield lo
-
-
 def _source_kernels(params, cfg, seqs, pool, taus) -> np.ndarray:
     """Recovered kernels (S, K) from one source type's probe pool into every target.
 
@@ -191,9 +176,7 @@ def _source_kernels(params, cfg, seqs, pool, taus) -> np.ndarray:
         # a probe event precedes its own queries, so it is in their history
         x_e = np.concatenate([z_ev[probes], params.type_embed[:, seq.types[probes]].T], axis=1)
         value_read = (x_e @ params.value_proj) @ params.readout.T  # (P, K)
-        lo = 0
-        for hi in _block_ends(h):
-            cols = int(h[hi - 1])
+        for lo, hi, cols in _row_blocks(h):
             attn = _softmax_rows(_history_scores(z_q[lo:hi], z_ev[:cols], h[lo:hi]), 0.0, scale)
             den = attn @ type_w[:cols]
             # every probe query has its probe event in its history
@@ -206,7 +189,6 @@ def _source_kernels(params, cfg, seqs, pool, taus) -> np.ndarray:
             cell = (row_lag[lo:hi, None] * k_types + np.arange(k_types)).ravel()
             acc += np.bincount(cell, np.where(ok, contrib, 0.0).ravel(), acc.size)
             counts += np.bincount(cell, ok.ravel(), acc.size)
-            lo = hi
     return np.where(counts > 0, acc / np.maximum(counts, 1), 0.0).reshape(len(taus), k_types)
 
 

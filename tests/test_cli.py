@@ -320,6 +320,27 @@ class TestArtifactCommands:
         assert code == 0
         assert out.read_text().splitlines()[1] == "t,lambda_0,true_0"
 
+    def test_intensity_trace_true_spec_type_mismatch_exit_2(self, tmp_path, capsys):
+        # a two-type model against one- and three-type true processes
+        cfg = ModelConfig(num_types=2, embed_dim=4)
+        seq = EventSequence(times=[1.0, 2.0, 3.0], types=[1, 0, 0], horizon=4.0, num_types=2)
+        model = tmp_path / "model.json"
+        save_model(init_params(cfg, [seq], 0), cfg, model)
+        data = tmp_path / "data.jsonl"
+        save_sequences([seq], data)
+        out = tmp_path / "trace.csv"
+        argv = [
+            "intensity-trace", "--model", str(model), "--data", str(data),
+            "--split", "train", "--seq-index", "0",
+        ]
+        for spec in (
+            '{"kernel":"exp","mu":[0.8],"alpha":[[0.5]],"beta":[[2.0]]}',
+            '{"kernel":"half-sine","mu":[0.1,0.1,0.1],"alpha":[[0.1,0,0],[0,0.1,0],[0,0,0.1]]}',
+        ):
+            assert run_cli([*argv, "--true-spec", spec, "--out", str(out)]) == 2
+            assert "--true-spec has" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStatsAndErrors:
     def test_stats_report_structure(self, tmp_path, capsys):

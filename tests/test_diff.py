@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,20 @@ class TestStructure:
         shifted = perturb_param(params, "bias", (0,), delta)
         change = objective_value(shifted, cfg, batch) - g.objective
         assert change == pytest.approx(g.bias[0] * delta, rel=1e-4)
+
+    def test_long_sequence_gradient_memory_bounded(self, rng):
+        # grid attention runs in row blocks, so no (nodes, events) array is
+        # built: a whole 2000-event softmax at G=10 would take about 1.3 GB
+        cfg = ModelConfig(num_types=2, embed_dim=8)
+        params = random_params(cfg, rng)
+        batch = _batch(cfg, [random_sequence(rng, 2000, 2, 400.0)])
+        tracemalloc.start()
+        try:
+            objective_and_gradients(params, cfg, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestCentralDifference:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from attnhawkes import model
 from attnhawkes.domain import EventSequence, make_grid
 from attnhawkes.errors import (
     DegenerateAnchor,
@@ -13,6 +14,7 @@ from attnhawkes.errors import (
     OutOfWindow,
 )
 from attnhawkes.model import (
+    ROW_BLOCK_CELLS,
     SCORE_FLUSH,
     VARIANT_ATTENTION,
     VARIANT_EXTRAPOLATION,
@@ -385,7 +387,7 @@ class TestAttentionMatrix:
         assert np.allclose(sums[nonempty], 1.0, atol=1e-9)
         assert np.array_equal(sums[~nonempty], np.zeros((~nonempty).sum()))
 
-    def test_event_rows_match_attention_weights(self, rng):
+    def test_event_rows_match_attention_weights(self, rng, monkeypatch):
         # every row, over more than one row block, against the pointwise
         # oracle: event rows, grid rows with the modal query type, and K=4;
         # type embeddings scaled by 12 spread the type-pair scores far
@@ -400,22 +402,25 @@ class TestAttentionMatrix:
             cfg = ModelConfig(num_types=k, embed_dim=8)
             params = random_params(cfg, rng)
             params = replace(params, type_embed=params.type_embed * embed_scale)
-            amap = attention_matrix(params, cfg, seq, make_grid(seq, 3))
-            modal = int(np.argmax(np.bincount(seq.types, minlength=k)))
-            cols = np.searchsorted(amap.times, seq.times)
-            assert np.array_equal(amap.is_event, np.isin(amap.times, seq.times))
-            flushed = 0
-            for row, t in enumerate(amap.times):
-                h = int(np.searchsorted(seq.times, t))
-                query_type = int(seq.types[h]) if amap.is_event[row] else modal
-                assert amap.query_types[row] == query_type
-                expected = np.zeros(len(amap.times))
-                expected[cols[:h]] = attention_weights(
-                    params, cfg, float(t), query_type, seq.times[:h], seq.types[:h]
-                )
-                assert np.allclose(amap.matrix[row], expected, rtol=0.0, atol=1e-12)
-                flushed += int((expected[cols[:h]] == 0.0).sum())
-            assert (flushed > 0) == (embed_scale > 1.0)
+            # at the default budget these grids are one block; 64 cells split them
+            for cells in (ROW_BLOCK_CELLS, 64):
+                monkeypatch.setattr(model, "ROW_BLOCK_CELLS", cells)
+                amap = attention_matrix(params, cfg, seq, make_grid(seq, 3))
+                modal = int(np.argmax(np.bincount(seq.types, minlength=k)))
+                cols = np.searchsorted(amap.times, seq.times)
+                assert np.array_equal(amap.is_event, np.isin(amap.times, seq.times))
+                flushed = 0
+                for row, t in enumerate(amap.times):
+                    h = int(np.searchsorted(seq.times, t))
+                    query_type = int(seq.types[h]) if amap.is_event[row] else modal
+                    assert amap.query_types[row] == query_type
+                    expected = np.zeros(len(amap.times))
+                    expected[cols[:h]] = attention_weights(
+                        params, cfg, float(t), query_type, seq.times[:h], seq.types[:h]
+                    )
+                    assert np.allclose(amap.matrix[row], expected, rtol=0.0, atol=1e-12)
+                    flushed += int((expected[cols[:h]] == 0.0).sum())
+                assert (flushed > 0) == (embed_scale > 1.0)
 
     def test_empty_sequence(self, rng):
         amap, seq, grid = self.build(rng, [], [])
