@@ -19,19 +19,25 @@ the event pre-activations are ``pre_gr[ev_node, types]`` and the event
 term's cotangent is added into those entries of the single (N, K) node
 cotangent.
 
-All query types share one temporal softmax ``E`` (N, L), reweighted per source
-event by the type-pair term ``type_w[j, k] = exp((gram[k, c_j] - max_c gram[k,
-c]) / s)`` (L, K): ``mix = num / den``, ``[num | den] = E @ [type_w * value_read
-| type_w]``.  ``den`` is zero on empty-history rows, where ``mix`` is zero; if it
-underflows on any other row, ``NonFinite`` is raised.
+All query types share one set of temporal weights ``W`` (N, L), ``W[n, j] =
+exp(z_n . z_j / s)`` for ``j < h[n]`` and 0 past the history, with ``s =
+sqrt(2M)``.  It is reweighted per source event by the type-pair term ``type_w[j,
+k] = exp((gram[k, c_j] - max_c gram[k, c]) / s)`` (L, K): ``mix = num / den``,
+``[num | den | norm] = W @ [type_w * value_read | type_w | 1]``.  A softmax
+would divide each row of ``W`` by its sum ``norm``, which cancels in ``mix``
+and in the gradient; and ``|z_n . z_j| <= M/2`` keeps every temporal score
+within ``+-sqrt(M/8)``, so ``W`` needs neither the normalizer nor a max shift
+(``model._temporal_weights``).  ``den`` and ``norm`` are zero on empty-history
+rows, where ``mix`` is zero; if the normalized ``den / norm`` underflows on any
+other row (tested as ``den < tiny * norm``), ``NonFinite`` is raised.
 
-``E`` is never held whole.  The cache keeps a parameter-free plan of row blocks
-(``model._row_blocks``): each block of B nodes gets its own softmax ``E_b`` (B,
-cols), trimmed to the block's largest history, and its rows of ``[num | den]``.
-When a cotangent is wanted, the same pass calls it on the block's
-pre-activations and adds ``E_b.T @ [q | q * mix]``, with ``q = d_pre / den``,
-into ``r`` (L, 2K), so ``backward`` needs no softmax and memory stays
-O(B·L + N·K).
+``W`` is never held whole.  The cache keeps a parameter-free plan of row blocks
+(``model._row_blocks``): each block of B nodes gets its own weights ``W_b`` (B,
+cols), trimmed to the block's largest history, and its rows of ``[num | den |
+norm]``.  When a cotangent is wanted, the same pass calls it on the block's
+pre-activations and adds ``W_b.T @ [q | q * mix]``, with ``q = d_pre / den``,
+into ``r`` (L, 2K), so ``backward`` needs no attention weights and memory stays
+O(B·L + N·K).  The extrapolation variant keeps its (L, L) event softmax.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .model import (
     _history_scores,
     _row_blocks,
     _softmax_rows,
+    _temporal_weights,
     temporal_embedding,
 )
 
@@ -143,21 +150,24 @@ def _embed(params: ModelParams, cache: SequenceCache) -> Forward:
 
 def _query_pre(params, cfg, cache, f, cotangent):
     """Attention-variant pre-activations (N, K) at the query nodes, one row block at a time."""
-    m = cfg.embed_dim
+    m, k_types = cfg.embed_dim, cfg.num_types
     scale = math.sqrt(2.0 * m)
     z_q, h = cache.z_gr, cache.h
+    z_s = cache.z_ev / scale
     f.type_w = np.exp((f.gram[:, cache.types].T - f.gram.max(axis=1)) / scale)  # (L, K)
-    rhs = np.concatenate([f.type_w * f.value_read, f.type_w], axis=1)  # (L, 2K)
-    pre = np.empty((len(h), cfg.num_types))
+    ones = np.ones((cache.length, 1))
+    rhs = np.concatenate([f.type_w * f.value_read, f.type_w, ones], axis=1)  # (L, 2K + 1)
+    pre = np.empty((len(h), k_types))
     if cfg.skip_connection:
         skip = z_q @ params.readout[:, :m].T + (params.type_embed.T * params.readout[:, m:]).sum(1)
     if cotangent is not None:
         f.d_pre = np.empty_like(pre)
-        f.r = np.zeros_like(rhs)
+        f.r = np.zeros((cache.length, 2 * k_types))
     for lo, hi, cols in cache.blocks:
-        e_b = _softmax_rows(_history_scores(z_q[lo:hi], cache.z_ev[:cols], h[lo:hi]), 0.0, scale)
-        num, den = np.split(e_b @ rhs[:cols], 2, axis=1)
-        if (den[h[lo:hi] > 0] < np.finfo(float).tiny).any():
+        w_b = _temporal_weights(z_q[lo:hi], z_s[:cols], h[lo:hi])
+        num, den, norm = np.split(w_b @ rhs[:cols], [k_types, 2 * k_types], axis=1)
+        # den / norm below tiny; rows without history have den = norm = 0 and pass
+        if (den < np.finfo(float).tiny * norm).any():
             raise NonFinite("type-pair attention weights underflow for a query with history")
         den = np.where(den > 0.0, den, 1.0)
         mix = num / den
@@ -167,7 +177,7 @@ def _query_pre(params, cfg, cache, f, cotangent):
         if cotangent is not None:
             d = f.d_pre[lo:hi] = cotangent(lo, hi, pre[lo:hi])
             q = d / den
-            f.r[:cols] += e_b.T @ np.concatenate([q, q * mix], axis=1)
+            f.r[:cols] += w_b.T @ np.concatenate([q, q * mix], axis=1)
     return pre
 
 

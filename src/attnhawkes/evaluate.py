@@ -10,11 +10,12 @@ The probe pool depends only on the source type, so one pass per source
 serves every target.  The pass embeds each probed sequence once and stacks
 the in-window lag queries of all its probes, in time order, into the row
 blocks of ``model._row_blocks``, the plan grid attention uses.  Each block
-gets one temporal softmax ``attn`` and one product ``den = attn @ type_w``
-with the (L, K) type-pair reweighting of ``_forward._query_pre``; the
-contribution of probe event ``e`` to a target-``k`` query is ``attn[:, e] *
-type_w[e, k] / den[:, k] * value_read[e, k]``.  As in training, a ``den``
-that underflows raises ``NonFinite``.
+gets one set of unnormalized temporal weights ``w`` (``model._temporal_weights``)
+and one product ``[den | norm] = w @ [type_w | 1]`` with the (L, K) type-pair
+reweighting of ``_forward._query_pre``; the contribution of probe event ``e``
+to a target-``k`` query is ``w[:, e] * type_w[e, k] / den[:, k] *
+value_read[e, k]``, a ratio in which the softmax normalizer cancels.  As in
+training, a normalized ``den / norm`` that underflows raises ``NonFinite``.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from .model import (
     VARIANT_ATTENTION,
     ModelConfig,
     ModelParams,
-    _history_scores,
     _row_blocks,
-    _softmax_rows,
+    _temporal_weights,
     temporal_embedding,
 )
 from .numerics import softplus
@@ -172,18 +172,20 @@ def _source_kernels(params, cfg, seqs, pool, taus) -> np.ndarray:
         n_hist = int(h[-1])
         z_q = temporal_embedding(qt, cfg.embed_dim)
         z_ev = temporal_embedding(seq.times[:n_hist], cfg.embed_dim)
+        z_s = z_ev / scale
         type_w = np.exp((gram[:, seq.types[:n_hist]].T - gram.max(axis=1)) / scale)  # (L, K)
+        rhs = np.concatenate([type_w, np.ones((n_hist, 1))], axis=1)
         # a probe event precedes its own queries, so it is in their history
         x_e = np.concatenate([z_ev[probes], params.type_embed[:, seq.types[probes]].T], axis=1)
         value_read = (x_e @ params.value_proj) @ params.readout.T  # (P, K)
         for lo, hi, cols in _row_blocks(h):
-            attn = _softmax_rows(_history_scores(z_q[lo:hi], z_ev[:cols], h[lo:hi]), 0.0, scale)
-            den = attn @ type_w[:cols]
-            # every probe query has its probe event in its history
-            if (den < np.finfo(float).tiny).any():
+            w = _temporal_weights(z_q[lo:hi], z_s[:cols], h[lo:hi])
+            den, norm = np.split(w @ rhs[:cols], [k_types], axis=1)
+            # every probe query has its probe event in its history, so norm > 0
+            if (den < np.finfo(float).tiny * norm).any():
                 raise NonFinite("type-pair attention weights underflow for a probe query")
             e_q = probes[row_probe[lo:hi]]
-            w_e = attn[np.arange(hi - lo), e_q][:, None] * type_w[e_q]
+            w_e = w[np.arange(hi - lo), e_q][:, None] * type_w[e_q]
             contrib = w_e / den * value_read[row_probe[lo:hi]]
             ok = np.isfinite(contrib)
             cell = (row_lag[lo:hi, None] * k_types + np.arange(k_types)).ravel()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from attnhawkes import model
+from attnhawkes._forward import SequenceCache
 from attnhawkes.domain import EventSequence, make_grid
 from attnhawkes.errors import (
     DegenerateAnchor,
@@ -20,6 +21,9 @@ from attnhawkes.model import (
     VARIANT_EXTRAPOLATION,
     ModelConfig,
     ModelParams,
+    _history_scores,
+    _softmax_rows,
+    _temporal_weights,
     attention_matrix,
     attention_weights,
     event_embedding,
@@ -181,6 +185,30 @@ class TestAttentionWeights:
         assert a[1] == 0.0
         assert a.sum() == pytest.approx(1.0, abs=1e-12)
         assert 2.0 * 100.0 / math.sqrt(8.0) > SCORE_FLUSH
+
+
+class TestTemporalWeights:
+    @pytest.mark.parametrize("m", [2, 4, 32, 64, 256])
+    def test_rows_normalize_to_the_masked_softmax(self, m):
+        # times up to 1e6, grid rows before the first event (h = 0), and the
+        # drop in h between the grid points and the right-limit copies
+        rng = np.random.default_rng(m)
+        times = np.sort(rng.uniform(1e3, 1e6, size=40))
+        seq = EventSequence(times=times, types=np.zeros(40, int), horizon=1e6, num_types=1)
+        cache = SequenceCache(ModelConfig(num_types=1, embed_dim=m), seq, make_grid(seq, 3))
+        h = cache.h
+        assert (h == 0).any() and (np.diff(h) < 0).any()
+        scale = math.sqrt(2.0 * m)
+        w = _temporal_weights(cache.z_gr, cache.z_ev / scale, h)
+        norm = w.sum(axis=1, keepdims=True)
+        softmax = _softmax_rows(_history_scores(cache.z_gr, cache.z_ev, h), 0.0, scale)
+        assert np.abs(w / np.where(norm > 0.0, norm, 1.0) - softmax).max() <= 1e-14
+        past = np.arange(len(times))[None, :] >= h[:, None]
+        assert (w[past] == 0.0).all()
+        # |z_q . z_j| <= M/2 bounds every scaled score by sqrt(M/8)
+        bound = math.sqrt(m / 8.0)
+        assert w[~past].min() >= math.exp(-bound) * (1.0 - 1e-12)
+        assert w[~past].max() <= math.exp(bound) * (1.0 + 1e-12)
 
 
 def _brute_intensity(params, cfg, seq, t, k):

@@ -20,10 +20,13 @@ from attnhawkes.errors import NonFinite
 from attnhawkes.evaluate import intensity_trace, recover_kernel
 from attnhawkes.model import (
     ModelConfig,
+    _history_scores,
     _row_blocks,
+    _softmax_rows,
     attention_matrix,
     attention_weights,
     intensity_all_types,
+    temporal_embedding,
 )
 from attnhawkes.numerics import softplus
 from attnhawkes.trainer import log_likelihood
@@ -189,3 +192,51 @@ def test_type_pair_underflow_raises_at_every_budget(cells):
         out = _outputs(params, cfg, seq, make_grid(seq, cfg.grid_subdivisions))
     for name in ("log_likelihood", "gradient", "trace", "event_pre", "kernel"):
         assert out[name] is NonFinite, name
+
+
+def _normalized_den(params, cfg, seq, z_q, h):
+    """The type-pair denominators ``softmax @ type_w`` of queries ``z_q`` with histories ``h``."""
+    scale = np.sqrt(2.0 * cfg.embed_dim)
+    gram = params.type_embed.T @ params.type_embed
+    type_w = np.exp((gram[:, seq.types].T - gram.max(axis=1)) / scale)
+    z_ev = temporal_embedding(seq.times, cfg.embed_dim)
+    return _softmax_rows(_history_scores(z_q, z_ev, h), 0.0, scale) @ type_w
+
+
+def _raises_non_finite(call, *args):
+    try:
+        call(*args)
+    except NonFinite:
+        return True
+    return False
+
+
+def test_guard_raises_exactly_when_normalized_den_underflows():
+    # the input of test_type_pair_underflow_raises, swept across the scale at
+    # which the type-1 event's normalized weight for type-0 queries underflows
+    cfg = ModelConfig(num_types=2, embed_dim=4)
+    seq = EventSequence(times=[1.0, 2.0, 3.0], types=[1, 0, 0], horizon=4.0, num_types=2)
+    grid = make_grid(seq, cfg.grid_subdivisions)
+    cache = SequenceCache(cfg, seq, grid)
+    taus = np.linspace(0.05, 1.0, 20)
+    params = random_params(cfg, np.random.default_rng(1234))
+    tiny = np.finfo(float).tiny
+    seen = set()
+    for a in np.arange(14.0, 21.0 + 1e-9, 0.25):
+        params.type_embed[:] = [a, -a]
+        den = _normalized_den(params, cfg, seq, cache.z_gr, cache.h)
+        underflows = bool((den[cache.h > 0] < tiny).any())
+        seen.add(("grid", underflows))
+        assert _raises_non_finite(log_likelihood, params, cfg, seq, grid) == underflows, a
+        for source in range(2):
+            # every source event is a probe: its whole lag range is in the window
+            qt = (seq.times[seq.types == source][:, None] + taus).ravel()
+            qt = qt[qt <= seq.horizon]
+            z_q = temporal_embedding(qt, cfg.embed_dim)
+            den = _normalized_den(params, cfg, seq, z_q, np.searchsorted(seq.times, qt))
+            underflows = bool((den < tiny).any())
+            seen.add(("probe", underflows))
+            raised = _raises_non_finite(recover_kernel, params, cfg, [seq], source, 0, taus)
+            assert raised == underflows, (a, source)
+    # both sides of the boundary are reached on both paths
+    assert seen == {(path, u) for path in ("grid", "probe") for u in (False, True)}
