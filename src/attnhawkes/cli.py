@@ -27,6 +27,7 @@ from .evaluate import (
 from .io import (
     load_data,
     load_model,
+    load_split,
     save_dataset,
     save_model,
     write_attention_csv,
@@ -34,7 +35,7 @@ from .io import (
     write_kernel_csv,
     write_trace_csv,
 )
-from .model import VARIANT_ATTENTION, VARIANT_EXTRAPOLATION, ModelConfig, attention_matrix
+from .model import VARIANT_ATTENTION, VARIANT_EXTRAPOLATION, ModelConfig, _attention_rows
 from .simulator import (
     EXPONENTIAL,
     HALF_SINE,
@@ -137,13 +138,23 @@ def _fractions(text: str):
         raise DataError(f"bad split fractions {text!r}") from err
 
 
-def _pick_sequence(ds: Dataset, split: str, index: int):
-    seqs = ds.split(split)
-    if not 0 <= index < len(seqs):
+def _load_split(args, cfg: ModelConfig):
+    """The ``--split`` sequences of ``--data``, checked against the model's type count."""
+    seqs = load_split(args.data, args.split, args.time_scale)
+    if seqs and seqs[0].num_types != cfg.num_types:
         raise DataError(
-            f"sequence index {index} outside split {split!r} of size {len(seqs)}"
+            f"the data have {seqs[0].num_types} event types, the model has {cfg.num_types}"
         )
-    return seqs[index]
+    return seqs
+
+
+def _pick_sequence(args, cfg: ModelConfig):
+    seqs = _load_split(args, cfg)
+    if not 0 <= args.seq_index < len(seqs):
+        raise DataError(
+            f"sequence index {args.seq_index} outside split {args.split!r} of size {len(seqs)}"
+        )
+    return seqs[args.seq_index]
 
 
 def _cmd_simulate(args) -> int:
@@ -198,8 +209,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     params, cfg = load_model(args.model)
-    ds = load_data(args.data, args.time_scale)
-    seqs = ds.split(args.split)
+    seqs = _load_split(args, cfg)
     grid = args.grid if args.grid is not None else cfg.grid_subdivisions
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     unknown = set(metrics) - {"tll", "acc"}
@@ -216,12 +226,12 @@ def _cmd_eval(args) -> int:
 
 def _cmd_recover_kernel(args) -> int:
     params, cfg = load_model(args.model)
-    ds = load_data(args.data, args.time_scale)
+    seqs = _load_split(args, cfg)
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     taus = np.linspace(args.tau_max / args.steps, args.tau_max, args.steps)
     est = recover_kernel(
-        params, cfg, ds.split(args.split), args.source, args.target, taus, args.num_probes
+        params, cfg, seqs, args.source, args.target, taus, args.num_probes
     )
     write_kernel_csv(args.out, est, {"split": args.split})
     print(json.dumps({"out": str(args.out), "num_probes": est.num_probes}))
@@ -230,9 +240,8 @@ def _cmd_recover_kernel(args) -> int:
 
 def _cmd_heatmap(args) -> int:
     params, cfg = load_model(args.model)
-    ds = load_data(args.data, args.time_scale)
     hm = influence_heatmap(
-        params, cfg, ds.split(args.split), args.tau_max, args.steps, args.num_probes
+        params, cfg, _load_split(args, cfg), args.tau_max, args.steps, args.num_probes
     )
     write_heatmap_csv(args.out, hm, {"split": args.split})
     print(json.dumps({"out": str(args.out)}))
@@ -241,10 +250,10 @@ def _cmd_heatmap(args) -> int:
 
 def _cmd_attention_map(args) -> int:
     params, cfg = load_model(args.model)
-    ds = load_data(args.data, args.time_scale)
-    seq = _pick_sequence(ds, args.split, args.seq_index)
+    seq = _pick_sequence(args, cfg)
     grid = make_grid(seq, args.grid if args.grid is not None else cfg.grid_subdivisions)
-    amap = attention_matrix(params, cfg, seq, grid)
+    # streamed: the rows are written as their row block is computed
+    amap = _attention_rows(params, cfg, seq, grid)
     write_attention_csv(args.out, amap, {"split": args.split, "seq_index": args.seq_index})
     print(json.dumps({"out": str(args.out), "num_points": len(amap.times)}))
     return 0
@@ -252,8 +261,7 @@ def _cmd_attention_map(args) -> int:
 
 def _cmd_intensity_trace(args) -> int:
     params, cfg = load_model(args.model)
-    ds = load_data(args.data, args.time_scale)
-    seq = _pick_sequence(ds, args.split, args.seq_index)
+    seq = _pick_sequence(args, cfg)
     grid = make_grid(seq, args.grid if args.grid is not None else cfg.grid_subdivisions)
     trace = intensity_trace(params, cfg, seq, grid)
     true_values = None

@@ -6,16 +6,19 @@ event's pre-activation contribution to a query of the target type at
 ``t_e + tau``, evaluated in the event's actual sequence context and
 averaged over probe events.
 
-The probe pool depends only on the source type, so one pass per source
-serves every target.  The pass embeds each probed sequence once and stacks
-the in-window lag queries of all its probes, in time order, into the row
-blocks of ``model._row_blocks``, the plan grid attention uses.  Each block
-gets one set of unnormalized temporal weights ``w`` (``model._temporal_weights``)
-and one product ``[den | norm] = w @ [type_w | 1]`` with the (L, K) type-pair
+The probe pool depends only on the source type, so one pass over the probes
+of every source type serves every (source, target) pair: the heatmap makes
+one pass, and ``recover_kernel`` makes it with one pool.  The pass embeds each
+probed sequence once and stacks the in-window lag queries of all its probes,
+whatever their source type, in time order, into the row blocks of
+``model._row_blocks``, the plan grid attention uses.  Each block gets one set
+of unnormalized temporal weights ``w`` (``model._temporal_weights``) and one
+product ``[den | norm] = w @ [type_w | 1]`` with the (L, K) type-pair
 reweighting of ``_forward._query_pre``; the contribution of probe event ``e``
 to a target-``k`` query is ``w[:, e] * type_w[e, k] / den[:, k] *
-value_read[e, k]``, a ratio in which the softmax normalizer cancels.  As in
-training, a normalized ``den / norm`` that underflows raises ``NonFinite``.
+value_read[e, k]``, a ratio in which the softmax normalizer cancels.  Sums
+accumulate by (source pool, lag, target).  As in training, a normalized
+``den / norm`` that underflows raises ``NonFinite``.
 """
 
 from __future__ import annotations
@@ -140,26 +143,30 @@ def _probe_pool(seqs, source: int, taus: np.ndarray, num_probes: int) -> list:
     return pool
 
 
-def _source_kernels(params, cfg, seqs, pool, taus) -> np.ndarray:
-    """Recovered kernels (S, K) from one source type's probe pool into every target.
+def _source_kernels(params, cfg, seqs, pools, taus) -> np.ndarray:
+    """Recovered kernels (P, S, K) from each of the P probe pools into every target.
 
+    The probes of every pool are grouped by sequence, so each sequence is
+    embedded once and all its probes' lag queries share one row-block pass.
     Lags past a probe's window, and contributions that are not finite, are
     left out of that lag's average, as one probe at a time would leave them.
     """
     scale = math.sqrt(2.0 * cfg.embed_dim)
     gram = params.type_embed.T @ params.type_embed
-    k_types = cfg.num_types
-    # sums and counts by (lag, target), flattened
-    acc = np.zeros(len(taus) * k_types)
-    counts = np.zeros(len(taus) * k_types)
-    by_seq: dict[int, list[int]] = {}
-    for i, e in pool:
-        by_seq.setdefault(i, []).append(int(e))
-    for i, events in by_seq.items():
+    k_types, n_lags = cfg.num_types, len(taus)
+    # sums and counts by (pool, lag, target), flattened
+    acc = np.zeros(len(pools) * n_lags * k_types)
+    counts = np.zeros(acc.size)
+    by_seq: dict[int, list[tuple[int, int]]] = {}
+    for p, pool in enumerate(pools):
+        for i, e in pool:
+            by_seq.setdefault(i, []).append((p, int(e)))
+    for i, entries in by_seq.items():
         seq = seqs[i]
-        probes = np.asarray(events)
+        owner, probes = np.array(entries).T
         # drop probes with no lag in the window; the lags increase
-        probes = probes[seq.times[probes] + taus[0] <= seq.horizon]
+        keep = seq.times[probes] + taus[0] <= seq.horizon
+        owner, probes = owner[keep], probes[keep]
         if not len(probes):
             continue
         query_times = seq.times[probes][:, None] + taus  # (P, S)
@@ -167,6 +174,7 @@ def _source_kernels(params, cfg, seqs, pool, taus) -> np.ndarray:
         # rows in time order, so each block's history ends at its last row's
         order = np.argsort(query_times[row_probe, row_lag], kind="stable")
         row_probe, row_lag = row_probe[order], row_lag[order]
+        row_cell = (owner[row_probe] * n_lags + row_lag) * k_types
         qt = query_times[row_probe, row_lag]
         h = np.searchsorted(seq.times, qt, side="left")
         n_hist = int(h[-1])
@@ -188,10 +196,11 @@ def _source_kernels(params, cfg, seqs, pool, taus) -> np.ndarray:
             w_e = w[np.arange(hi - lo), e_q][:, None] * type_w[e_q]
             contrib = w_e / den * value_read[row_probe[lo:hi]]
             ok = np.isfinite(contrib)
-            cell = (row_lag[lo:hi, None] * k_types + np.arange(k_types)).ravel()
+            cell = (row_cell[lo:hi, None] + np.arange(k_types)).ravel()
             acc += np.bincount(cell, np.where(ok, contrib, 0.0).ravel(), acc.size)
             counts += np.bincount(cell, ok.ravel(), acc.size)
-    return np.where(counts > 0, acc / np.maximum(counts, 1), 0.0).reshape(len(taus), k_types)
+    phi = np.where(counts > 0, acc / np.maximum(counts, 1), 0.0)
+    return phi.reshape(len(pools), n_lags, k_types)
 
 
 def _check_kernel_args(cfg, tau_grid, num_probes) -> np.ndarray:
@@ -239,7 +248,7 @@ def recover_kernel(
         if not 0 <= k < cfg.num_types:
             raise ValueError(f"{role} type {k} outside [0, {cfg.num_types})")
     pool = _probe_pool(seqs, source, taus, num_probes)
-    phi = _source_kernels(params, cfg, seqs, pool, taus)[:, target].copy()
+    phi = _source_kernels(params, cfg, seqs, [pool], taus)[0, :, target].copy()
     return KernelEstimate(
         tau=taus, phi=phi, source=int(source), target=int(target), num_probes=len(pool)
     )
@@ -257,21 +266,19 @@ def influence_heatmap(
 
     ``steps >= 1`` and ``tau_max`` finite and positive.  Cell ``[target,
     source]`` is the trapezoid integral of ``recover_kernel(..., source,
-    target, ...)``, computed in one pass per source type.
+    target, ...)``; one pass over the probes of every source type serves
+    every cell.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     if not (math.isfinite(tau_max) and tau_max > 0.0):
         raise ValueError(f"tau_max must be finite and positive, got {tau_max}")
     taus = _check_kernel_args(cfg, np.linspace(tau_max / steps, tau_max, steps), num_probes)
-    # every pool first, so a missing source type raises before any pass can
+    # every pool first, so a missing source type raises before the pass can
     pools = [_probe_pool(seqs, source, taus, num_probes) for source in range(cfg.num_types)]
-    integrals = np.zeros((cfg.num_types, cfg.num_types))
-    for source, pool in enumerate(pools):
-        phi = _source_kernels(params, cfg, seqs, pool, taus)
-        integrals[:, source] = np.trapezoid(phi, taus, axis=0)
+    phi = _source_kernels(params, cfg, seqs, pools, taus)  # (source, lag, target)
     return Heatmap(
-        integrals=integrals,
+        integrals=np.trapezoid(phi, taus, axis=1).T.copy(),
         tau_max=float(tau_max),
         steps=int(steps),
         num_probes=max(len(pool) for pool in pools),

@@ -22,6 +22,7 @@ __all__ = [
     "load_sequences",
     "save_dataset",
     "load_data",
+    "load_split",
     "save_model",
     "load_model",
     "write_kernel_csv",
@@ -153,6 +154,26 @@ def load_data(path, time_scale: float = 1.0) -> Dataset:
     return Dataset(train=tuple(seqs), val=(), test=(), num_types=seqs[0].num_types)
 
 
+def load_split(path, split: str, time_scale: float = 1.0) -> list[EventSequence]:
+    """The sequences of one split, parsing only that split's file when it has any.
+
+    From a split directory only ``<split>.jsonl`` is read, so the other members
+    are neither parsed nor checked against it.  A plain file is the train split
+    and is loaded as ``load_data`` loads it.  When the requested split has no
+    sequences, the whole dataset is loaded, so the errors of an empty request
+    are those of ``load_data``.
+    """
+    if split not in SPLIT_NAMES:
+        raise ValueError(f"unknown split {split!r}")
+    path = Path(path)
+    if path.is_dir():
+        member = path / f"{split}.jsonl"
+        seqs = load_sequences(member, time_scale) if member.exists() else []
+        if seqs:
+            return seqs
+    return list(load_data(path, time_scale).split(split))
+
+
 def _config_to_dict(cfg: ModelConfig) -> dict:
     return {
         "num_types": cfg.num_types,
@@ -258,7 +279,22 @@ def write_heatmap_csv(path, heatmap, extra_meta: dict | None = None) -> None:
     _write_csv(path, meta, header, rows)
 
 
+def _weight_cells(row: np.ndarray) -> list[str]:
+    """``repr`` of every weight, with exact positive zeros written as the literal ``0.0``.
+
+    Most of an attention row is structural zeros; a cell that is nonzero or has
+    its sign bit set (so ``-0.0`` and every NaN) still goes through ``repr``.
+    """
+    cells = ["0.0"] * len(row)
+    written = np.flatnonzero((row != 0.0) | np.signbit(row))
+    for j, v in zip(written.tolist(), row[written].tolist()):
+        cells[j] = repr(v)
+    return cells
+
+
 def write_attention_csv(path, amap, extra_meta: dict | None = None) -> None:
+    """Write an attention map; each row is written as soon as ``amap.matrix`` yields it,
+    so a streamed map (``model._attention_rows``) is never held whole."""
     n = len(amap.times)
     meta = {"artifact": "attention_map", "num_points": n}
     meta.update(extra_meta or {})
@@ -269,9 +305,8 @@ def write_attention_csv(path, amap, extra_meta: dict | None = None) -> None:
             "event" if amap.is_event[i] else "grid",
             str(int(amap.query_types[i])),
         ]
-        # repr of a Python float is what _fmt writes, without a conversion per cell
-        + list(map(repr, amap.matrix[i].tolist()))
-        for i in range(n)
+        + _weight_cells(row)
+        for i, row in enumerate(amap.matrix)
     )
     _write_csv(path, meta, header, rows)
 

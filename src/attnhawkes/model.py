@@ -448,12 +448,49 @@ def intensity_all_types(params: ModelParams, cfg: ModelConfig, seq: EventSequenc
 
 @dataclass(frozen=True, eq=False)
 class AttentionMap:
-    """Dense attention weights over the chronological union of grid and event times."""
+    """Attention weights over the chronological union of grid and event times."""
 
     times: np.ndarray  # (N,) query/source times, ascending
     is_event: np.ndarray  # (N,) bool, True where the time is an event of the sequence
     query_types: np.ndarray  # (N,) type id used for each row's query
-    matrix: np.ndarray  # (N, N) rows attend over strictly earlier event columns
+    # (N, N) rows attend over strictly earlier event columns; a streamed map
+    # (``_attention_rows``) holds an iterator over the N rows instead
+    matrix: np.ndarray
+
+
+def _attention_blocks(params, cfg, seq, grid):
+    """The rows of ``attention_matrix`` and a generator of their weights.
+
+    Returns ``(times, is_event, query_types, blocks)``.  ``blocks`` computes one
+    row block of ``_row_blocks`` per step and yields ``(lo, hi, columns,
+    weights)``: rows ``lo:hi`` hold ``weights`` in ``columns``, the columns of
+    the events of the block's history, and zeros everywhere else.
+    """
+    points = grid.times
+    event_cols = np.searchsorted(points, seq.times)
+    if len(seq) and not np.array_equal(points[event_cols], seq.times):
+        raise ValueError("grid does not contain every event time of the sequence")
+    is_event = np.zeros(len(points), dtype=bool)
+    is_event[event_cols] = True
+    if len(seq):
+        modal = int(np.argmax(np.bincount(seq.types, minlength=cfg.num_types)))
+    else:
+        modal = 0
+    query_types = np.full(len(points), modal, dtype=np.int64)
+    query_types[event_cols] = seq.types
+    h = np.searchsorted(seq.times, points, side="left")
+
+    def blocks():
+        z_q = temporal_embedding(points, cfg.embed_dim)
+        z_ev = temporal_embedding(seq.times, cfg.embed_dim)
+        gram = params.type_embed.T @ params.type_embed
+        scale = math.sqrt(2.0 * cfg.embed_dim)
+        for lo, hi, cols in _row_blocks(h):
+            block = _history_scores(z_q[lo:hi], z_ev[:cols], h[lo:hi])
+            type_scores = gram[query_types[lo:hi, None], seq.types[None, :cols]]
+            yield lo, hi, event_cols[:cols], _softmax_rows(block, type_scores, scale)
+
+    return points.copy(), is_event, query_types, blocks()
 
 
 def attention_matrix(
@@ -467,27 +504,28 @@ def attention_matrix(
     the event's own type as query type; grid rows use the most frequent
     event type of the sequence.
     """
-    points = grid.times
-    n_points = len(points)
-    event_cols = np.searchsorted(points, seq.times)
-    if len(seq) and not np.array_equal(points[event_cols], seq.times):
-        raise ValueError("grid does not contain every event time of the sequence")
-    is_event = np.zeros(n_points, dtype=bool)
-    is_event[event_cols] = True
-    if len(seq):
-        modal = int(np.argmax(np.bincount(seq.types, minlength=cfg.num_types)))
-    else:
-        modal = 0
-    query_types = np.full(n_points, modal, dtype=np.int64)
-    query_types[event_cols] = seq.types
-    h = np.searchsorted(seq.times, points, side="left")
-    z_q = temporal_embedding(points, cfg.embed_dim)
-    z_ev = temporal_embedding(seq.times, cfg.embed_dim)
-    gram = params.type_embed.T @ params.type_embed
-    scale = math.sqrt(2.0 * cfg.embed_dim)
-    matrix = np.zeros((n_points, n_points))
-    for lo, hi, cols in _row_blocks(h):
-        block = _history_scores(z_q[lo:hi], z_ev[:cols], h[lo:hi])
-        type_scores = gram[query_types[lo:hi, None], seq.types[None, :cols]]
-        matrix[lo:hi, event_cols[:cols]] = _softmax_rows(block, type_scores, scale)
-    return AttentionMap(times=points.copy(), is_event=is_event, query_types=query_types, matrix=matrix)
+    times, is_event, query_types, blocks = _attention_blocks(params, cfg, seq, grid)
+    matrix = np.zeros((len(times), len(times)))
+    for lo, hi, columns, weights in blocks:
+        matrix[lo:hi, columns] = weights
+    return AttentionMap(times=times, is_event=is_event, query_types=query_types, matrix=matrix)
+
+
+def _attention_rows(
+    params: ModelParams, cfg: ModelConfig, seq: EventSequence, grid: IntegrationGrid
+) -> AttentionMap:
+    """``attention_matrix`` with ``matrix`` an iterator over its rows.
+
+    The rows are computed one row block at a time as they are read, so memory
+    stays at one block and one row, not the (N, N) matrix.
+    """
+    times, is_event, query_types, blocks = _attention_blocks(params, cfg, seq, grid)
+
+    def rows():
+        for _, _, columns, weights in blocks:
+            for w in weights:
+                row = np.zeros(len(times))
+                row[columns] = w
+                yield row
+
+    return AttentionMap(times=times, is_event=is_event, query_types=query_types, matrix=rows())

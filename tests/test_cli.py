@@ -1,14 +1,28 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from attnhawkes.cli import dataset_stats, run_cli
-from attnhawkes.domain import Dataset, EventSequence
-from attnhawkes.errors import DataError
-from attnhawkes.io import load_data, load_model, save_model, save_sequences
-from attnhawkes.model import ModelConfig, flatten_params
+from attnhawkes.domain import Dataset, EventSequence, make_grid
+from attnhawkes.errors import DataError, ParseError, ValidationError
+from attnhawkes.io import (
+    load_data,
+    load_model,
+    save_dataset,
+    save_model,
+    save_sequences,
+    write_attention_csv,
+)
+from attnhawkes.model import ModelConfig, _attention_rows, attention_matrix, flatten_params
 from attnhawkes.trainer import init_params
+
+from conftest import random_params, random_sequence
 
 ONE_TYPE_PARAMS = '{"mu":[0.8],"alpha":[[0.5]],"beta":[[2.0]]}'
 
@@ -342,6 +356,153 @@ class TestArtifactCommands:
         assert not out.exists()
 
 
+def _interpretation_commands(model, data, out, split="test"):
+    """The five commands that read one split, each writing ``out``."""
+    common = ["--model", str(model), "--data", str(data), "--split", split]
+    return [
+        ["eval", *common],
+        ["heatmap", *common, "--out", str(out)],
+        ["recover-kernel", *common, "--source", "0", "--target", "0", "--out", str(out)],
+        ["attention-map", *common, "--seq-index", "0", "--out", str(out)],
+        ["intensity-trace", *common, "--seq-index", "0", "--out", str(out)],
+    ]
+
+
+class TestTypeCountMismatch:
+    def test_model_and_data_type_counts_differ_exit_2(self, tmp_path, capsys):
+        # every split holds every type, so a K=2 model meets type 2 in K=3 data
+        rng = np.random.default_rng(3)
+        out = tmp_path / "out.csv"
+        for data_k, model_k in ((3, 2), (2, 3)):
+            types = np.resize(np.arange(data_k), 12)
+            times = np.linspace(0.5, 5.5, 12)
+            seqs = [EventSequence(times, types, horizon=6.0, num_types=data_k)] * 3
+            data = tmp_path / f"data{data_k}"
+            save_dataset(
+                Dataset(train=tuple(seqs), val=tuple(seqs), test=tuple(seqs), num_types=data_k),
+                data,
+            )
+            cfg = ModelConfig(num_types=model_k, embed_dim=4)
+            model = tmp_path / f"model{model_k}.json"
+            save_model(random_params(cfg, rng), cfg, model)
+            for argv in _interpretation_commands(model, data, out):
+                assert run_cli(argv) == 2, argv[0]
+                err = capsys.readouterr().err
+                assert f"the data have {data_k} event types, the model has {model_k}" in err
+                assert not out.exists()
+
+
+class TestSplitOnlyLoading:
+    @pytest.fixture()
+    def setup(self, tmp_path):
+        data = simulate(tmp_path, num=12, horizon=8.0)
+        cfg = ModelConfig(num_types=1, embed_dim=4, grid_subdivisions=3)
+        model = tmp_path / "model.json"
+        save_model(init_params(cfg, load_data(data).train, 0), cfg, model)
+        return data, model, tmp_path / "out.csv"
+
+    def test_other_splits_are_not_read(self, setup, capsys):
+        data, model, out = setup
+        (data / "val.jsonl").write_text("{oops\n")
+        (data / "train.jsonl").write_text('{"T":4.0,"K":2,"events":[]}\n')
+        with pytest.raises(DataError):
+            load_data(data)
+        for argv in _interpretation_commands(model, data, out):
+            assert run_cli(argv) == 0, argv[0]
+            assert "error" not in capsys.readouterr().err
+
+    def test_malformed_requested_split_keeps_its_error(self, setup, capsys):
+        data, model, out = setup
+        first = (data / "test.jsonl").read_text().splitlines()[0]
+        for bad, error in (("{oops", ParseError), ('{"T":4.0,"K":2,"events":[]}', ValidationError)):
+            (data / "test.jsonl").write_text(first + "\n" + bad + "\n")
+            with pytest.raises(error) as raised:
+                load_data(data)
+            assert raised.value.line == 2
+            for argv in _interpretation_commands(model, data, out):
+                assert run_cli(argv) == 2, argv[0]
+                assert capsys.readouterr().err == f"data error: {raised.value}\n"
+            assert not out.exists()
+
+    def test_absent_or_empty_requested_split_exit_2(self, setup, capsys):
+        data, model, out = setup
+        for make_empty in (lambda p: p.unlink(), lambda p: p.write_text("")):
+            make_empty(data / "test.jsonl")
+            for argv in _interpretation_commands(model, data, out):
+                assert run_cli(argv) == 2, argv[0]
+                assert "data error" in capsys.readouterr().err
+            assert not out.exists()
+        # accuracy of a one-type model is 1 by convention, even on an empty
+        # split, unless the whole dataset is empty
+        acc = ["eval", "--model", str(model), "--data", str(data), "--metrics", "acc"]
+        assert run_cli(acc) == 0
+        assert json.loads(capsys.readouterr().out) == {"acc": 1.0}
+        for name in ("train.jsonl", "val.jsonl"):
+            (data / name).write_text("")
+        assert run_cli(acc) == 2
+        assert "no sequences found" in capsys.readouterr().err
+
+    def test_time_scale_applies_to_the_split(self, setup, capsys):
+        data, model, out = setup
+        argv = _interpretation_commands(model, data, out)[4]
+        assert run_cli(argv) == 0
+        plain = out.read_text().splitlines()[2:]
+        assert run_cli([*argv, "--time-scale", "2.0"]) == 0
+        doubled = out.read_text().splitlines()[2:]
+        assert float(doubled[-1].split(",")[0]) == 2.0 * float(plain[-1].split(",")[0])
+        assert run_cli([*argv, "--time-scale", "-1"]) == 2
+        assert "time scale must be positive" in capsys.readouterr().err
+
+
+def _parent_attention_csv(amap, meta) -> str:
+    """An attention CSV formatted as before zero-aware cells: ``repr`` on every cell."""
+    n = len(amap.times)
+    lines = ["# " + json.dumps(meta, separators=(",", ":"))]
+    lines.append(",".join(["time", "kind", "query_type"] + [f"w_{j}" for j in range(n)]))
+    for i in range(n):
+        kind = "event" if amap.is_event[i] else "grid"
+        head = [repr(float(amap.times[i])), kind, str(int(amap.query_types[i]))]
+        lines.append(",".join(head + list(map(repr, amap.matrix[i].tolist()))))
+    return "\n".join(lines) + "\n"
+
+
+class TestStreamedAttentionMap:
+    @pytest.mark.parametrize("length, grid", [(60, 10), (400, 2)])
+    def test_bytes_match_dense_map(self, tmp_path, capsys, rng, length, grid):
+        cfg = ModelConfig(num_types=3, embed_dim=8, grid_subdivisions=grid)
+        params = random_params(cfg, rng)
+        seq = random_sequence(rng, length, 3, length / 2.0)
+        model, data, out = tmp_path / "model.json", tmp_path / "seqs.jsonl", tmp_path / "a.csv"
+        save_model(params, cfg, model)
+        save_sequences([seq], data)
+        argv = ["attention-map", "--model", str(model), "--data", str(data)]
+        assert run_cli([*argv, "--split", "train", "--seq-index", "0", "--out", str(out)]) == 0
+        amap = attention_matrix(params, cfg, seq, make_grid(seq, grid))
+        if length == 400:  # the 400-event map spans many row blocks
+            assert len(amap.times) ** 2 > 8 * 65536
+        meta = {"artifact": "attention_map", "num_points": len(amap.times)}
+        dense = tmp_path / "dense.csv"
+        write_attention_csv(dense, amap, {"split": "train", "seq_index": 0})
+        expected = _parent_attention_csv(amap, {**meta, "split": "train", "seq_index": 0})
+        assert out.read_bytes() == dense.read_bytes() == expected.encode()
+
+    def test_memory_stays_at_one_row_block(self, rng):
+        # a 300-event map has about 3000 rows; its dense matrix is about 69 MB
+        cfg = ModelConfig(num_types=2, embed_dim=8)
+        params = random_params(cfg, rng)
+        seq = random_sequence(rng, 300, 2, 150.0)
+        grid = make_grid(seq, 10)
+        dense_mb = len(grid.times) ** 2 * 8 / 2**20
+        tracemalloc.start()
+        try:
+            write_attention_csv(os.devnull, _attention_rows(params, cfg, seq, grid))
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert dense_mb > 64.0
+        assert peak_mb < 8.0, f"{peak_mb:.1f} MB"
+
+
 class TestStatsAndErrors:
     def test_stats_report_structure(self, tmp_path, capsys):
         data = simulate(tmp_path)
@@ -392,3 +553,12 @@ class TestStatsAndErrors:
         a = plain["splits"]["train"]["interval"]["mean"]
         b = doubled["splits"]["train"]["interval"]["mean"]
         assert b == pytest.approx(2.0 * a, rel=1e-12)
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "attnhawkes", "--help"], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert "heatmap" in done.stdout

@@ -268,6 +268,50 @@ class TestInfluenceHeatmap:
         est = recover_kernel(params, cfg, seqs, 1, 0, taus, num_probes=50)
         assert hm.integrals[0, 1] == pytest.approx(np.trapezoid(est.phi, taus), rel=1e-12)
 
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_one_pass_matches_per_source_recovery(self, rng, skip):
+        # K=4 pools of 8, 7, 2 and 2 probes: source 0 is subsampled, source 2
+        # occurs in one sequence only, and no source-3 event is covered, so its
+        # pool falls back to every source-3 event and drops lags past the window
+        cfg = ModelConfig(num_types=4, embed_dim=8, skip_connection=skip)
+        params = random_params(cfg, rng)
+        params.type_embed[:] *= 3.0
+        seqs = [
+            EventSequence(
+                times=[0.3, 0.7, 1.1, 1.6, 2.0, 2.4, 2.9, 3.3, 3.8, 4.4, 5.6],
+                types=[0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 3],
+                horizon=6.0,
+                num_types=4,
+            ),
+            EventSequence(
+                times=[0.2, 0.9, 1.4, 2.2, 2.8, 3.5, 4.1, 5.3],
+                types=[0, 2, 1, 0, 2, 0, 1, 3],
+                horizon=6.0,
+                num_types=4,
+            ),
+            EventSequence(
+                times=[0.5, 1.8, 2.6, 3.1, 4.7], types=[1, 0, 0, 1, 0], horizon=6.0, num_types=4
+            ),
+        ]
+        hm = influence_heatmap(params, cfg, seqs, tau_max=1.0, steps=5, num_probes=8)
+        taus = np.linspace(0.2, 1.0, 5)
+        scale = np.abs(hm.integrals).max()
+        assert scale > 0.0
+        for source, pool_size in enumerate([8, 7, 2, 2]):
+            for target in range(4):
+                est = recover_kernel(params, cfg, seqs, source, target, taus, num_probes=8)
+                assert est.num_probes == pool_size
+                cell = np.trapezoid(est.phi, taus)
+                assert abs(hm.integrals[target, source] - cell) <= 1e-12 * scale
+        assert hm.num_probes == 8
+        # the guard input of test_probe_type_pair_underflow_raises still raises
+        guard_cfg = ModelConfig(num_types=2, embed_dim=4, skip_connection=skip)
+        guard = random_params(guard_cfg, rng)
+        guard.type_embed[:] = [20.0, -20.0]
+        seq = EventSequence(times=[1.0, 2.0, 3.0], types=[1, 0, 0], horizon=4.0, num_types=2)
+        with pytest.raises(NonFinite):
+            influence_heatmap(guard, guard_cfg, [seq])
+
     def test_zero_model_gives_zero_heatmap(self, rng):
         cfg = ModelConfig(num_types=2, embed_dim=4)
         params = zeros_params(cfg)
