@@ -37,7 +37,8 @@ cols), trimmed to the block's largest history, and its rows of ``[num | den |
 norm]``.  When a cotangent is wanted, the same pass calls it on the block's
 pre-activations and adds ``W_b.T @ [q | q * mix]``, with ``q = d_pre / den``,
 into ``r`` (L, 2K), so ``backward`` needs no attention weights and memory stays
-O(B·L + N·K).  The extrapolation variant keeps its (L, L) event softmax.
+O(B·L + N·K).  The extrapolation variant's event softmax runs in row blocks too
+(``model._own_type_softmax``), and ``backward`` walks them again.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ from .model import (
     VARIANT_EXTRAPOLATION,
     ModelConfig,
     ModelParams,
-    _history_scores,
+    _own_type_softmax,
     _row_blocks,
-    _softmax_rows,
     _temporal_weights,
+    _type_pair_weights,
     temporal_embedding,
 )
 
@@ -133,7 +134,7 @@ class Forward:
     """Bag of forward-pass arrays kept for the backward pass."""
 
     __slots__ = (
-        "x_ev", "gram", "values", "value_read", "attn_ev", "pre_ev", "type_w", "pre_gr",
+        "x_ev", "gram", "values", "value_read", "pre_ev", "type_w", "pre_gr",
         "d_pre", "r", "attn_out", "mlp_pre", "mlp_hidden", "hidden_read",
     )
 
@@ -154,7 +155,7 @@ def _query_pre(params, cfg, cache, f, cotangent):
     scale = math.sqrt(2.0 * m)
     z_q, h = cache.z_gr, cache.h
     z_s = cache.z_ev / scale
-    f.type_w = np.exp((f.gram[:, cache.types].T - f.gram.max(axis=1)) / scale)  # (L, K)
+    f.type_w = _type_pair_weights(f.gram, cache.types, scale)  # (L, K)
     ones = np.ones((cache.length, 1))
     rhs = np.concatenate([f.type_w * f.value_read, f.type_w, ones], axis=1)  # (L, 2K + 1)
     pre = np.empty((len(h), k_types))
@@ -191,10 +192,10 @@ def forward(
     """
     f = _embed(params, cache)
     if cfg.variant == VARIANT_EXTRAPOLATION:
-        c = cache.types
-        block = _history_scores(cache.z_ev, cache.z_ev, np.arange(cache.length))
-        f.attn_ev = _softmax_rows(block, f.gram[c[:, None], c], math.sqrt(2.0 * cfg.embed_dim))
-        f.attn_out = f.attn_ev @ f.values  # (L, M_V)
+        z, c = cache.z_ev, cache.types
+        f.attn_out = np.zeros_like(f.values)  # (L, M_V)
+        for lo, hi, cols, a in _own_type_softmax(z, c, np.arange(cache.length), z, c, f.gram):
+            f.attn_out[lo:hi] = a @ f.values[:cols]
         f.mlp_pre = f.attn_out @ params.mlp_w1 + params.mlp_b1  # (L, M_H)
         f.mlp_hidden = np.maximum(f.mlp_pre, 0.0)
         hidden = f.mlp_hidden @ params.mlp_w2 + params.mlp_b2  # (L, M)
@@ -211,11 +212,6 @@ def forward(
         f.pre_gr = _query_pre(params, cfg, cache, f, cotangent)
     f.pre_ev = f.pre_gr[cache.ev_node, cache.types]
     return f
-
-
-def _softmax_backward(attn, d_attn):
-    inner = (attn * d_attn).sum(axis=1, keepdims=True)
-    return attn * (d_attn - inner)
 
 
 def backward(
@@ -249,9 +245,14 @@ def backward(
         grads["mlp_b1"] = d_mlp_pre.sum(axis=0)
         grads["mlp_w1"] = f.attn_out.T @ d_mlp_pre
         d_attn_out = d_mlp_pre @ params.mlp_w1.T  # (L, M_V)
-        d_values = f.attn_ev.T @ d_attn_out
-        d_raw_ev = _softmax_backward(f.attn_ev, d_attn_out @ f.values.T) / scale
-        d_gram = cache.onehot.T @ d_raw_ev @ cache.onehot
+        z, c = cache.z_ev, cache.types
+        d_values = np.zeros_like(f.values)
+        d_gram = np.zeros_like(f.gram)
+        for lo, hi, cols, a in _own_type_softmax(z, c, np.arange(length), z, c, f.gram):
+            d_values[:cols] += a.T @ d_attn_out[lo:hi]
+            d_a = d_attn_out[lo:hi] @ f.values[:cols].T
+            d_raw = a * (d_a - (a * d_a).sum(axis=1, keepdims=True)) / scale
+            d_gram += cache.onehot[lo:hi].T @ d_raw @ cache.onehot[:cols]
     else:
         r_num, r_den = np.split(f.r, 2, axis=1)
         d_value_read = f.type_w * r_num

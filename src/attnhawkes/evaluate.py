@@ -37,6 +37,7 @@ from .model import (
     ModelParams,
     _row_blocks,
     _temporal_weights,
+    _type_pair_weights,
     temporal_embedding,
 )
 from .numerics import softplus
@@ -181,7 +182,7 @@ def _source_kernels(params, cfg, seqs, pools, taus) -> np.ndarray:
         z_q = temporal_embedding(qt, cfg.embed_dim)
         z_ev = temporal_embedding(seq.times[:n_hist], cfg.embed_dim)
         z_s = z_ev / scale
-        type_w = np.exp((gram[:, seq.types[:n_hist]].T - gram.max(axis=1)) / scale)  # (L, K)
+        type_w = _type_pair_weights(gram, seq.types[:n_hist], scale)  # (L, K)
         rhs = np.concatenate([type_w, np.ones((n_hist, 1))], axis=1)
         # a probe event precedes its own queries, so it is in their history
         x_e = np.concatenate([z_ev[probes], params.type_embed[:, seq.types[probes]].T], axis=1)

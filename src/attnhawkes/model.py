@@ -121,6 +121,21 @@ def _softmax_rows(block: np.ndarray, type_scores, scale: float) -> np.ndarray:
     return w / np.where(norm > 0.0, norm, 1.0)
 
 
+def _own_type_softmax(z_q, q_types, h, z_ev, ev_types, gram):
+    """Row blocks ``(lo, hi, cols, weights)``: the softmax of rows ``lo:hi`` over their first
+    ``cols`` events, each query scored with its own type.  It keeps the max shift, so the
+    unbounded type-pair scores cannot underflow a row with history to all zeros."""
+    for lo, hi, cols in _row_blocks(h):
+        block = _history_scores(z_q[lo:hi], z_ev[:cols], h[lo:hi])
+        type_scores = gram[q_types[lo:hi, None], ev_types[None, :cols]]
+        yield lo, hi, cols, _softmax_rows(block, type_scores, math.sqrt(2.0 * z_q.shape[1]))
+
+
+def _type_pair_weights(gram: np.ndarray, types: np.ndarray, scale: float) -> np.ndarray:
+    """Type-pair weights (L, K) ``exp((gram[k, c_j] - max_c gram[k, c]) / scale)``, c = types."""
+    return np.exp((gram[:, types].T - gram.max(axis=1)) / scale)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters shared by both variants."""
@@ -484,11 +499,8 @@ def _attention_blocks(params, cfg, seq, grid):
         z_q = temporal_embedding(points, cfg.embed_dim)
         z_ev = temporal_embedding(seq.times, cfg.embed_dim)
         gram = params.type_embed.T @ params.type_embed
-        scale = math.sqrt(2.0 * cfg.embed_dim)
-        for lo, hi, cols in _row_blocks(h):
-            block = _history_scores(z_q[lo:hi], z_ev[:cols], h[lo:hi])
-            type_scores = gram[query_types[lo:hi, None], seq.types[None, :cols]]
-            yield lo, hi, event_cols[:cols], _softmax_rows(block, type_scores, scale)
+        for lo, hi, cols, weights in _own_type_softmax(z_q, query_types, h, z_ev, seq.types, gram):
+            yield lo, hi, event_cols[:cols], weights
 
     return points.copy(), is_event, query_types, blocks()
 

@@ -110,6 +110,27 @@ class TestGradientExactness:
         approx = finite_diff_gradient(params, cfg, batch, eps=1e-5).as_vector(cfg)
         assert _rel_err(exact, approx) < 1e-4
 
+    def test_extrapolation_saturated_type_pairs(self):
+        # the input an ex-ithp-4-4-9-x12 row above would take: x12 type
+        # embeddings saturate every own-type softmax, and the gradient of the
+        # one type-0 event's embedding falls to 2e-11-5e-10.  Central
+        # differences at eps=1e-5 resolve no better than ulp(objective) / eps,
+        # 4e-10 here, so the per-entry error above fails on any correct code;
+        # each entry is held to the same 1e-4 plus four such ulps
+        rng = np.random.default_rng(6)
+        cfg = ModelConfig(
+            num_types=4, embed_dim=4, variant=VARIANT_EXTRAPOLATION, grid_subdivisions=3
+        )
+        params = random_params(cfg, rng)
+        params.type_embed[:] *= 12.0
+        batch = _batch(cfg, [random_sequence(rng, 9, 4, 2.0)])
+        bundle = objective_and_gradients(params, cfg, batch)
+        exact = bundle.as_vector(cfg)
+        approx = finite_diff_gradient(params, cfg, batch, eps=1e-5).as_vector(cfg)
+        round_off = 4.0 * np.spacing(abs(bundle.objective)) / 1e-5
+        assert ((exact != 0.0) & (np.abs(exact) < round_off)).any()
+        assert (np.abs(exact - approx) <= 1e-4 * np.abs(exact) + round_off).all()
+
     def test_skip_connection_gradient(self):
         rng = np.random.default_rng(6)
         cfg = ModelConfig(num_types=2, embed_dim=4, skip_connection=True, grid_subdivisions=3)
@@ -209,6 +230,17 @@ class TestStructure:
         oracle = [intensity_all_types(params, cfg, seq, float(t)) for t in grid.times]
         assert np.allclose(trace.values, oracle, rtol=1e-12, atol=0.0)
 
+    def test_type_pair_underflow_input_returns_in_extrapolation(self, rng):
+        # the +-20 input above: ex-ithp's own-type softmax keeps its max shift,
+        # so the type-1 weight of a type-0 query, exp(-3200 / sqrt(8)) unshifted,
+        # cannot underflow a row to zero
+        cfg = ModelConfig(num_types=2, embed_dim=4, variant=VARIANT_EXTRAPOLATION)
+        seq = EventSequence(times=[1.0, 2.0, 3.0], types=[1, 0, 0], horizon=4.0, num_types=2)
+        params = random_params(cfg, rng)
+        params.type_embed[:] = [20.0, -20.0]
+        value = log_likelihood(params, cfg, seq, make_grid(seq, cfg.grid_subdivisions))
+        assert value == pytest.approx(-35.18316279987432, rel=1e-12)
+
     def test_one_non_finite_class(self):
         # the objective, the gradient and the trainer's terms raise one class
         assert NonFiniteObjective is NonFinite
@@ -227,6 +259,20 @@ class TestStructure:
         # grid attention runs in row blocks, so no (nodes, events) array is
         # built: a whole 2000-event softmax at G=10 would take about 1.3 GB
         cfg = ModelConfig(num_types=2, embed_dim=8)
+        params = random_params(cfg, rng)
+        batch = _batch(cfg, [random_sequence(rng, 2000, 2, 400.0)])
+        tracemalloc.start()
+        try:
+            objective_and_gradients(params, cfg, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_long_sequence_extrapolation_gradient_memory_bounded(self, rng):
+        # the event attention runs in row blocks too: a whole (L, L) softmax
+        # and its Jacobian took about 155 MB here
+        cfg = ModelConfig(num_types=2, embed_dim=8, variant=VARIANT_EXTRAPOLATION)
         params = random_params(cfg, rng)
         batch = _batch(cfg, [random_sequence(rng, 2000, 2, 400.0)])
         tracemalloc.start()

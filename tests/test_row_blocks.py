@@ -1,4 +1,5 @@
-"""One row-block plan serves grid attention, the probe pass and ``attention_matrix``.
+"""One row-block plan serves grid attention, the probe pass, ``attention_matrix``
+and the extrapolation variant's event attention.
 
 Every row-blocked pass splits its query rows with ``model._row_blocks``.
 Shrinking ``ROW_BLOCK_CELLS`` moves every block boundary, so each output is
@@ -9,7 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attnhawkes import model
@@ -19,6 +20,7 @@ from attnhawkes.domain import EventSequence, make_grid
 from attnhawkes.errors import NonFinite
 from attnhawkes.evaluate import intensity_trace, recover_kernel
 from attnhawkes.model import (
+    VARIANT_EXTRAPOLATION,
     ModelConfig,
     _history_scores,
     _row_blocks,
@@ -140,6 +142,58 @@ def test_every_budget_matches_default_and_oracle(
         for name, value in small.items():
             _assert_close(value, default[name], rel=1e-13 if name == "objective" else 1e-12)
         _check_oracle(params, cfg, seq, grid, small)
+
+
+def _extrapolation_outputs(params, cfg, seq, grid):
+    """Every ex-ithp output that runs the blocked event softmax, or the class it raises."""
+    calls = {
+        "log_likelihood": lambda: log_likelihood(params, cfg, seq, grid),
+        "gradient": lambda: objective_and_gradients(params, cfg, [(seq, grid)]).as_vector(cfg),
+        "trace": lambda: intensity_trace(params, cfg, seq, grid).values,
+        "event_pre": lambda: event_pre_all_types(params, cfg, SequenceCache(cfg, seq)),
+    }
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = call()
+        except NonFinite as err:
+            out[name] = type(err)
+    return out
+
+
+@given(
+    num_types=st.integers(1, 3),
+    length=st.sampled_from([0, 1, 2, 9, 40]),
+    embed_scale=st.sampled_from([1.0, 5.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(num_types=2, length=0, embed_scale=1.0, seed=0)
+@example(num_types=3, length=1, embed_scale=5.0, seed=0)
+@settings(max_examples=30, deadline=None)
+def test_extrapolation_every_budget_matches_default_and_oracle(
+    num_types, length, embed_scale, seed
+):
+    # each event attends over its predecessors with its own type, in row blocks
+    # of the same plan; the trace is checked against the pointwise oracle
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig(
+        num_types=num_types, embed_dim=4, grid_subdivisions=3, variant=VARIANT_EXTRAPOLATION
+    )
+    params = random_params(cfg, rng)
+    params.type_embed[:] *= embed_scale
+    times = np.sort(rng.uniform(0.05, 5.0, size=length))
+    types = rng.integers(0, num_types, size=length)
+    seq = EventSequence(times=times, types=types, horizon=5.0, num_types=num_types)
+    grid = make_grid(seq, cfg.grid_subdivisions)
+    default = _extrapolation_outputs(params, cfg, seq, grid)
+    for cells in BUDGETS:
+        with _budget(cells):
+            small = _extrapolation_outputs(params, cfg, seq, grid)
+        for name, value in small.items():
+            _assert_close(value, default[name])
+        if not isinstance(small["trace"], type):
+            oracle = [intensity_all_types(params, cfg, seq, float(t)) for t in grid.times]
+            _assert_close(small["trace"], np.array(oracle))
 
 
 @pytest.mark.parametrize("cells", [*BUDGETS, model.ROW_BLOCK_CELLS])
