@@ -8,6 +8,7 @@ and seeds, apart from the elapsed-seconds field of training logs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -159,7 +160,9 @@ def _pick_sequence(args, cfg: ModelConfig):
 
 def _cmd_simulate(args) -> int:
     spec = _hawkes_spec_from_json(_load_json_arg(args.params), args.kernel)
-    ds = simulate_dataset(spec, args.T, args.num_seqs, args.seed)
+    ds = simulate_dataset(
+        spec, args.T, args.num_seqs, args.seed, allow_explosive=args.allow_explosive
+    )
     ds = split_dataset(ds, _fractions(args.split), args.seed)
     save_dataset(ds, args.out)
     print(
@@ -304,6 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split", default="0.6,0.2,0.2", help="train,val,test fractions")
     p.add_argument("--out", required=True, help="output split directory")
+    p.add_argument(
+        "--allow-explosive",
+        action="store_true",
+        help="draw a process whose branching matrix has spectral radius >= 1",
+    )
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("train", help="fit a model by maximum likelihood")
@@ -378,10 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args fills a new namespace on each call, so one tree serves them all
+    return build_parser()
+
+
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

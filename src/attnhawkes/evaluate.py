@@ -119,29 +119,34 @@ def type_accuracy(params: ModelParams, cfg: ModelConfig, seqs) -> float:
     return correct / counted
 
 
-def _probe_pool(seqs, source: int, taus: np.ndarray, num_probes: int) -> list:
-    """Probe events ``(sequence index, event index)`` of one source type.
+def _probe_pools(seqs, sources, taus: np.ndarray, num_probes: int) -> list:
+    """Probe events ``(sequence index, event index)`` of each source type.
 
     They are the source-type events whose whole lag range stays in the
     window, subsampled with a deterministic stride to ``num_probes``; when no
-    event has full coverage, all source events serve.  The pool does not
-    depend on the target type.
+    event has full coverage, all source events serve.  A pool does not
+    depend on the target type.  The events of every sequence are taken in
+    one flat pass, in sequence then event order.
     """
-    candidates = [
-        (i, e)
-        for i, seq in enumerate(seqs)
-        for e in np.flatnonzero(seq.types == source)
-    ]
-    if not candidates:
-        raise NoSourceEvents(f"no events of source type {source}")
-    covered = [
-        (i, e) for i, e in candidates if seqs[i].times[e] + taus[-1] <= seqs[i].horizon
-    ]
-    pool = covered if covered else candidates
-    if len(pool) > num_probes:
-        stride_idx = (np.arange(num_probes) * len(pool)) // num_probes
-        pool = [pool[int(j)] for j in stride_idx]
-    return pool
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.intp)
+    seq_of = np.repeat(np.arange(len(seqs)), lengths)
+    event_of = np.arange(len(seq_of)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    types = np.concatenate([seq.types for seq in seqs] + [np.zeros(0, dtype=np.int64)])
+    times = np.concatenate([seq.times for seq in seqs] + [np.zeros(0)])
+    horizons = np.repeat([seq.horizon for seq in seqs], lengths)
+    covered = times + taus[-1] <= horizons
+    pools = []
+    for source in sources:
+        is_source = types == source
+        if not is_source.any():
+            raise NoSourceEvents(f"no events of source type {source}")
+        pick = np.flatnonzero(is_source & covered)
+        if not len(pick):
+            pick = np.flatnonzero(is_source)
+        if len(pick) > num_probes:
+            pick = pick[(np.arange(num_probes) * len(pick)) // num_probes]
+        pools.append(list(zip(seq_of[pick].tolist(), event_of[pick].tolist())))
+    return pools
 
 
 def _source_kernels(params, cfg, seqs, pools, taus) -> np.ndarray:
@@ -248,7 +253,7 @@ def recover_kernel(
     for role, k in (("source", source), ("target", target)):
         if not 0 <= k < cfg.num_types:
             raise ValueError(f"{role} type {k} outside [0, {cfg.num_types})")
-    pool = _probe_pool(seqs, source, taus, num_probes)
+    [pool] = _probe_pools(seqs, [source], taus, num_probes)
     phi = _source_kernels(params, cfg, seqs, [pool], taus)[0, :, target].copy()
     return KernelEstimate(
         tau=taus, phi=phi, source=int(source), target=int(target), num_probes=len(pool)
@@ -276,7 +281,7 @@ def influence_heatmap(
         raise ValueError(f"tau_max must be finite and positive, got {tau_max}")
     taus = _check_kernel_args(cfg, np.linspace(tau_max / steps, tau_max, steps), num_probes)
     # every pool first, so a missing source type raises before the pass can
-    pools = [_probe_pool(seqs, source, taus, num_probes) for source in range(cfg.num_types)]
+    pools = _probe_pools(seqs, range(cfg.num_types), taus, num_probes)
     phi = _source_kernels(params, cfg, seqs, pools, taus)  # (source, lag, target)
     return Heatmap(
         integrals=np.trapezoid(phi, taus, axis=1).T.copy(),

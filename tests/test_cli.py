@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from attnhawkes import cli
 from attnhawkes.cli import dataset_stats, run_cli
 from attnhawkes.domain import Dataset, EventSequence, make_grid
 from attnhawkes.errors import DataError, ParseError, ValidationError
@@ -112,6 +114,55 @@ class TestSimulate:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+EXPLOSIVE_PARAMS = '{"mu":[1],"alpha":[[10]],"beta":[[5]]}'
+
+
+class TestExplosiveSimulate:
+    @pytest.mark.parametrize(
+        "extra, message",
+        [((), "spectral radius 2 >= 1"), (("--allow-explosive",), "20000 events")],
+        ids=["rejected", "capped"],
+    )
+    def test_hang_case_exits_3_within_a_second(self, tmp_path, capsys, extra, message):
+        # CPU time, so that other load on the machine does not count
+        start = time.process_time()
+        code = run_cli(
+            [
+                "simulate", "--kernel", "exp", "--params", EXPLOSIVE_PARAMS,
+                "--num-seqs", "1", "--T", "4", "--out", str(tmp_path / "x"), *extra,
+            ]
+        )
+        elapsed = time.process_time() - start
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert elapsed < 1.0
+        assert not (tmp_path / "x").exists()
+
+
+class TestParserReuse:
+    def test_no_value_leaks_between_calls(self, tmp_path, capsys):
+        first = simulate(tmp_path, "a", seed=5, extra=("--allow-explosive",))
+        assert run_cli(["stats", "--data", str(first)]) == 0
+        argv = [
+            "simulate", "--kernel", "exp", "--params", ONE_TYPE_PARAMS,
+            "--num-seqs", "10", "--T", "6.0", "--out", str(tmp_path / "b"),
+        ]
+        other = argv + ["--seed", "8", "--split", "0.7,0.2,0.1"]
+        assert run_cli(other) == 0
+        ds = load_data(tmp_path / "b")
+        assert (len(ds.train), len(ds.val), len(ds.test)) == (7, 2, 1)
+        # the process-wide parser reads every argument list as a new one does
+        for args in (other, argv, ["stats", "--data", str(first)]):
+            assert vars(cli._parser().parse_args(args)) == vars(cli.build_parser().parse_args(args))
+        defaults = cli._parser().parse_args(argv)
+        assert (defaults.seed, defaults.split, defaults.allow_explosive) == (0, "0.6,0.2,0.2", False)
+        # and the output equals that of a freshly built parser
+        fresh = cli.build_parser().parse_args(other[:10] + [str(tmp_path / "c")] + other[11:])
+        assert fresh.func(fresh) == 0
+        for name in ("train.jsonl", "val.jsonl", "test.jsonl"):
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
 
 
 class TestTrainEval:

@@ -7,6 +7,7 @@ from attnhawkes._forward import SequenceCache, event_pre_all_types
 from attnhawkes.domain import EventSequence, make_grid
 from attnhawkes.errors import EmptySplit, NonFinite, NoSourceEvents
 from attnhawkes.evaluate import (
+    _probe_pools,
     influence_heatmap,
     intensity_trace,
     recover_kernel,
@@ -255,6 +256,57 @@ class TestRecoverKernel:
         seq = EventSequence(times=[1.0], types=[0], horizon=5.0, num_types=1)
         with pytest.raises(ValueError):
             recover_kernel(params, cfg, [seq], 0, 0, np.array([0.5]))
+
+
+def _per_pair_probe_pool(seqs, source, taus, num_probes):
+    """The pair-by-pair list comprehension that ``_probe_pools`` replaced."""
+    candidates = [
+        (i, e)
+        for i, seq in enumerate(seqs)
+        for e in np.flatnonzero(seq.types == source)
+    ]
+    if not candidates:
+        raise NoSourceEvents(f"no events of source type {source}")
+    covered = [
+        (i, e) for i, e in candidates if seqs[i].times[e] + taus[-1] <= seqs[i].horizon
+    ]
+    pool = covered if covered else candidates
+    if len(pool) > num_probes:
+        stride_idx = (np.arange(num_probes) * len(pool)) // num_probes
+        pool = [pool[int(j)] for j in stride_idx]
+    return pool
+
+
+class TestProbePools:
+    def sequences(self, rng):
+        """Empty sequences among full ones; type 2 occurs only too late for full coverage."""
+        seqs = []
+        for length in (0, 5, 12, 0, 30, 1, 17):
+            times = np.sort(rng.uniform(0.1, 10.0, size=length))
+            seqs.append(EventSequence(times, rng.integers(0, 2, size=length), 10.0, 4))
+        seqs.append(EventSequence([2.0, 9.5, 9.9], [0, 2, 2], 10.0, 4))
+        return seqs
+
+    @pytest.mark.parametrize("num_probes", [1, 3, 7, 200])
+    def test_same_pairs_as_per_pair_lists(self, rng, num_probes):
+        seqs = self.sequences(rng)
+        taus = np.array([0.5, 1.0])
+        pools = _probe_pools(seqs, [0, 1, 2], taus, num_probes)
+        for source, pool in zip([0, 1, 2], pools):
+            expected = _per_pair_probe_pool(seqs, source, taus, num_probes)
+            assert pool == [(int(i), int(e)) for i, e in expected]
+        assert pools[2] == [(7, 1), (7, 2)][:num_probes]  # no covered event: all serve
+
+    def test_missing_source_raises_in_source_order(self, rng):
+        seqs = self.sequences(rng)
+        taus = np.array([0.5])
+        for sources in ([0, 3, 1], [3, 0]):
+            with pytest.raises(NoSourceEvents, match="source type 3"):
+                _probe_pools(seqs, sources, taus, 5)
+        with pytest.raises(NoSourceEvents, match="source type 0"):
+            _probe_pools([], [0, 1], taus, 5)
+        with pytest.raises(NoSourceEvents, match="source type 1"):
+            _probe_pools([EventSequence([], [], 10.0, 4)] * 2, [1], taus, 5)
 
 
 class TestInfluenceHeatmap:

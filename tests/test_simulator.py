@@ -1,15 +1,22 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from attnhawkes import simulator
 from attnhawkes.domain import EventSequence, validate_sequence
+from attnhawkes.errors import UnboundedIntensity
 from attnhawkes.simulator import (
     EXPONENTIAL,
     HALF_SINE,
     HawkesSpec,
+    _thin_lockstep,
     _true_intensities,
+    branching_radius,
     kernel_eval,
     simulate_dataset,
     thin_simulate,
@@ -234,3 +241,154 @@ class TestSimulateDataset:
             assert ds_small.train[i] == ds_big.train[i]
         rng = np.random.default_rng(np.random.SeedSequence(entropy=13, spawn_key=(2,)))
         assert ds_small.train[2] == thin_simulate(EXP_SPEC, 20.0, rng)
+
+
+def _spawned(seed, i):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+
+
+def _assert_lockstep_matches_loop(spec, horizon, num_sequences, seed):
+    """Every dataset sequence equals the per-sequence loop on its generator, bit for bit."""
+    ds = simulate_dataset(spec, horizon, num_sequences, seed)
+    assert len(ds.train) == num_sequences
+    for i, seq in enumerate(ds.train):
+        loop = thin_simulate(spec, horizon, _spawned(seed, i))
+        assert seq.times.tobytes() == loop.times.tobytes(), i
+        assert np.array_equal(seq.types, loop.types), i
+        assert seq.horizon == loop.horizon == float(horizon)
+    # a one-sequence dataset takes the loop, so check a lone lane directly
+    if num_sequences:
+        [lane] = _thin_lockstep(spec, float(horizon), [_spawned(seed, 0)])
+        assert lane == ds.train[0]
+    return ds
+
+
+@st.composite
+def thinning_cases(draw):
+    """A random subcritical spec, horizon, dataset size and seed.
+
+    Everything past the kernel family and type count comes from one drawn
+    numpy seed: a type's mu or a row or column of alpha is zero with
+    probability 1/4, the branching radius is scaled to at most 0.8, and the
+    horizon lies in [0.5, 50].
+    """
+    kernel = draw(st.sampled_from([EXPONENTIAL, HALF_SINE]))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu = rng.uniform(0.0, 0.5, k) * (rng.random(k) > 0.25)
+    alpha = rng.uniform(0.0, 1.0, (k, k))
+    alpha *= (rng.random(k) > 0.25)[:, None] * (rng.random(k) > 0.25)
+    beta = rng.uniform(0.5, 5.0, (k, k)) if kernel == EXPONENTIAL else None
+    radius = branching_radius(HawkesSpec(mu=mu, kernel=kernel, alpha=alpha, beta=beta))
+    if radius > 0.0:
+        alpha *= rng.uniform(0.0, 0.8) / radius
+    spec = HawkesSpec(mu=mu, kernel=kernel, alpha=alpha, beta=beta)
+    # keep near-critical draws to about 500 events per sequence on average
+    branching = alpha / beta if kernel == EXPONENTIAL else 2.0 * alpha
+    rate = np.linalg.solve(np.eye(k) - branching, mu).sum()
+    horizon = min(rng.uniform(0.5, 50.0), max(0.5, 500.0 / max(rate, 1e-12)))
+    return spec, horizon, int(rng.integers(0, 41)), int(rng.integers(2**32))
+
+
+def _ring(groups=8, own=0.2, neighbour=0.1, mu=0.05):
+    """The eight-group half-sine ring of the groups-cli benchmark workload."""
+    alpha = own * np.eye(groups) + neighbour * np.roll(np.eye(groups), 1, axis=0)
+    return HawkesSpec(mu=[mu] * groups, kernel=HALF_SINE, alpha=alpha)
+
+
+class TestLockstep:
+    @settings(max_examples=25, deadline=None)
+    @given(case=thinning_cases())
+    def test_dataset_equals_per_sequence_loop(self, case):
+        _assert_lockstep_matches_loop(*case)
+
+    @pytest.mark.parametrize("spec", [EXP_SPEC, SINE_SPEC], ids=["exp", "half-sine"])
+    @pytest.mark.parametrize("num_sequences", [0, 1, 2])
+    def test_few_sequences(self, spec, num_sequences):
+        _assert_lockstep_matches_loop(spec, 20.0, num_sequences, 3)
+
+    @pytest.mark.parametrize("spec", [EXP_SPEC, SINE_SPEC], ids=["exp", "half-sine"])
+    def test_horizon_too_short_for_any_event(self, spec):
+        ds = _assert_lockstep_matches_loop(spec, 1e-6, 12, 4)
+        assert all(len(s) == 0 for s in ds.train)
+
+    @pytest.mark.parametrize("kernel", [EXPONENTIAL, HALF_SINE])
+    def test_all_baselines_zero(self, kernel):
+        beta = [[2.0, 1.0], [1.0, 2.0]] if kernel == EXPONENTIAL else None
+        spec = HawkesSpec(mu=[0.0, 0.0], kernel=kernel, alpha=[[0.2, 0.1], [0.1, 0.2]], beta=beta)
+        ds = _assert_lockstep_matches_loop(spec, 10.0, 6, 5)
+        assert all(len(s) == 0 for s in ds.train)
+
+    def test_eight_group_ring(self):
+        ds = _assert_lockstep_matches_loop(_ring(), 60.0, 24, 1)
+        assert sum(len(s) for s in ds.train) > 24 * 30
+
+    def test_a_sequence_ending_on_its_first_proposal(self):
+        # at rate 0.05 over T = 20 a third of the first gaps pass the horizon
+        spec = HawkesSpec(mu=[0.05], kernel=EXPONENTIAL, alpha=[[0.5]], beta=[[1.0]])
+        ds = _assert_lockstep_matches_loop(spec, 20.0, 16, 6)
+        lengths = [len(s) for s in ds.train]
+        assert min(lengths) == 0 and max(lengths) > 1
+
+    def test_draws_are_pinned(self):
+        # sha256 over (length, times, types) of each sequence of the fit-exp
+        # benchmark draw, recorded with the per-sequence loop
+        h = hashlib.sha256()
+        for s in simulate_dataset(EXP_SPEC, 20.0, 400, 11).train:
+            h.update(np.array([len(s)], dtype=np.int64).tobytes())
+            h.update(s.times.tobytes())
+            h.update(s.types.tobytes())
+        assert h.hexdigest() == "cc46cf612032dfc16411d43b8cbb353ccad426f7b7d3d7341ff351215f305b34"
+
+
+EXPLOSIVE_EXP = HawkesSpec(mu=[1.0], kernel=EXPONENTIAL, alpha=[[10.0]], beta=[[5.0]])
+
+
+class TestExplosiveGuards:
+    def test_branching_radius(self):
+        assert branching_radius(EXP_SPEC) == pytest.approx(0.6 + math.sqrt(0.08), rel=1e-12)
+        assert branching_radius(SINE_SPEC) == pytest.approx(
+            0.66 + 2.0 * math.sqrt(0.005), rel=1e-12
+        )
+        assert branching_radius(_ring()) == pytest.approx(0.6, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            EXPLOSIVE_EXP,
+            HawkesSpec(mu=[0.1], kernel=EXPONENTIAL, alpha=[[5.0]], beta=[[5.0]]),
+            HawkesSpec(mu=[0.1, 0.1], kernel=HALF_SINE, alpha=[[0.3, 0.25], [0.25, 0.3]]),
+        ],
+        ids=["radius-2", "radius-1", "half-sine-radius-1.1"],
+    )
+    def test_explosive_spec_rejected_before_any_draw(self, spec):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(UnboundedIntensity, match="spectral radius"):
+            thin_simulate(spec, 4.0, rng)
+        assert rng.bit_generator.state == state
+        for num_sequences in (1, 3):
+            with pytest.raises(UnboundedIntensity, match="spectral radius"):
+                simulate_dataset(spec, 4.0, num_sequences, 0)
+
+    def test_explosive_draw_stops_at_the_event_cap(self, monkeypatch):
+        # the real cap is timed by the command-line hang test
+        monkeypatch.setattr(simulator, "MAX_EVENTS", 2000)
+        with pytest.raises(UnboundedIntensity, match="2000 events"):
+            thin_simulate(EXPLOSIVE_EXP, 4.0, np.random.default_rng(0), allow_explosive=True)
+        for num_sequences in (1, 3):
+            with pytest.raises(UnboundedIntensity, match="2000 events"):
+                simulate_dataset(EXPLOSIVE_EXP, 4.0, num_sequences, 0, allow_explosive=True)
+
+    @pytest.mark.parametrize(
+        "spec, horizon, seed", [(EXP_SPEC, 20.0, 3), (SINE_SPEC, 30.0, 1)], ids=["exp", "half-sine"]
+    )
+    def test_cap_applies_to_subcritical_draws_in_both_paths(self, spec, horizon, seed, monkeypatch):
+        # the longest of these sequences outgrows the lockstep history's first capacity of 64
+        monkeypatch.setattr(simulator, "MAX_EVENTS", 150)
+        lengths = [len(s) for s in simulate_dataset(spec, horizon, 8, seed).train]
+        assert 64 < max(lengths) <= 150
+        with pytest.raises(UnboundedIntensity, match="150 events"):
+            thin_simulate(spec, 2000.0, np.random.default_rng(1))
+        with pytest.raises(UnboundedIntensity, match="150 events"):
+            simulate_dataset(spec, 2000.0, 8, 2)
