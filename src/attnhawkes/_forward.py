@@ -39,6 +39,13 @@ pre-activations and adds ``W_b.T @ [q | q * mix]``, with ``q = d_pre / den``,
 into ``r`` (L, 2K), so ``backward`` needs no attention weights and memory stays
 O(B·L + N·K).  The extrapolation variant's event softmax runs in row blocks too
 (``model._own_type_softmax``), and ``backward`` walks them again.
+
+Only the attention variant's cache holds the node embeddings ``z_gr`` (N, M)
+and the row-block plan ``blocks``.  The extrapolation variant's nodes read the
+events' attention output, not attention of their own, so its cache holds the
+event arrays, ``h``, ``ev_node``, ``quad`` with a grid, and per node the
+anchor event ``anchor``, whether it has one (``anchored``) and the relative
+elapsed time ``rel_elapsed_gr``.
 """
 
 from __future__ import annotations
@@ -84,7 +91,6 @@ class SequenceCache:
             g = self.times
             self.h = np.arange(length)
             self.ev_node = self.h
-            self.z_gr = self.z_ev
         else:
             pts = grid.times
             ev_pos = np.searchsorted(pts, self.times)
@@ -116,7 +122,6 @@ class SequenceCache:
             self.quad = np.concatenate(
                 [np.where(is_ev_pt, left_half, left_half + right_half), right_half[is_ev_pt]]
             )
-            self.z_gr = temporal_embedding(g, cfg.embed_dim)  # (N, M)
         if cfg.variant == VARIANT_EXTRAPOLATION:
             anchored = self.h > 0
             a = np.maximum(self.h - 1, 0)
@@ -127,7 +132,9 @@ class SequenceCache:
             self.anchor = a
             self.anchored = anchored
             self.rel_elapsed_gr = rel
-        self.blocks = list(_row_blocks(self.h))
+        else:
+            self.z_gr = self.z_ev if grid is None else temporal_embedding(g, cfg.embed_dim)
+            self.blocks = list(_row_blocks(self.h))
 
 
 class Forward:

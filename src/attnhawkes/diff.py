@@ -18,7 +18,6 @@ from .model import (
     ModelConfig,
     ModelParams,
     flatten_params,
-    param_fields,
     param_shapes,
     unflatten_params,
 )
@@ -33,21 +32,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class GradientBundle:
-    """Gradient arrays mirroring ``ModelParams`` plus the objective value."""
+@dataclass(frozen=True, eq=False, kw_only=True)
+class GradientBundle(ModelParams):
+    """Gradient arrays shaped as ``ModelParams``, plus the objective value."""
 
     objective: float
-    type_embed: np.ndarray
-    value_proj: np.ndarray
-    readout: np.ndarray
-    bias: np.ndarray
-    mlp_w1: np.ndarray | None = None
-    mlp_b1: np.ndarray | None = None
-    mlp_w2: np.ndarray | None = None
-    mlp_b2: np.ndarray | None = None
-    extrap_coef: np.ndarray | None = None
-    extrap_readout: np.ndarray | None = None
 
     def as_vector(self, cfg: ModelConfig) -> np.ndarray:
         return flatten_params(self, cfg)
@@ -166,11 +155,5 @@ def finite_diff_gradient(
     def fn(vec):
         return _objective_cached(unflatten_params(vec, cfg), cfg, caches)
 
-    grad_vec = central_difference(fn, flatten_params(params, cfg), eps)
-    shapes = param_shapes(cfg)
-    out, pos = {}, 0
-    for name in param_fields(cfg):
-        size = int(np.prod(shapes[name])) if shapes[name] else 1
-        out[name] = grad_vec[pos : pos + size].reshape(shapes[name])
-        pos += size
-    return GradientBundle(objective=_objective_cached(params, cfg, caches), **out)
+    grads = unflatten_params(central_difference(fn, flatten_params(params, cfg), eps), cfg)
+    return GradientBundle(objective=_objective_cached(params, cfg, caches), **vars(grads))

@@ -41,7 +41,7 @@ from .model import (
     temporal_embedding,
 )
 from .numerics import softplus
-from .trainer import log_likelihood
+from .trainer import _split_tll
 
 __all__ = [
     "KernelEstimate",
@@ -91,11 +91,8 @@ def test_tll(params: ModelParams, cfg: ModelConfig, seqs, grid_subdivisions: int
     seqs = list(seqs)
     if not seqs:
         raise EmptySplit("no sequences in split")
-    events = sum(len(s) for s in seqs)
-    if events == 0:
-        raise EmptySplit("split has no events")
-    total = sum(log_likelihood(params, cfg, s, make_grid(s, grid_subdivisions)) for s in seqs)
-    return total / events
+    caches = (SequenceCache(cfg, s, make_grid(s, grid_subdivisions)) for s in seqs)
+    return _split_tll(params, cfg, caches)
 
 
 def type_accuracy(params: ModelParams, cfg: ModelConfig, seqs) -> float:

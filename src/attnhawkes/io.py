@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -174,24 +175,12 @@ def load_split(path, split: str, time_scale: float = 1.0) -> list[EventSequence]
     return list(load_data(path, time_scale).split(split))
 
 
-def _config_to_dict(cfg: ModelConfig) -> dict:
-    return {
-        "num_types": cfg.num_types,
-        "embed_dim": cfg.embed_dim,
-        "value_dim": cfg.value_dim,
-        "hidden_dim": cfg.hidden_dim,
-        "variant": cfg.variant,
-        "grid_subdivisions": cfg.grid_subdivisions,
-        "skip_connection": cfg.skip_connection,
-    }
-
-
 def save_model(params: ModelParams, cfg: ModelConfig, path) -> None:
     """Serialize config and parameters as JSON with row-major flat arrays."""
     validate_params(params, cfg)
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "config": _config_to_dict(cfg),
+        "config": asdict(cfg),
         "params": {
             name: {
                 "shape": list(shape),
@@ -243,7 +232,9 @@ def load_model(path) -> tuple[ModelParams, ModelConfig]:
     return params, cfg
 
 
-def _write_csv(path, meta: dict, header: list[str], rows) -> None:
+def _write_csv(path, meta: dict, extra_meta: dict | None, header: list[str], rows) -> None:
+    """Write the ``meta`` line, with ``extra_meta``'s keys appended, then the header and rows."""
+    meta = {**meta, **(extra_meta or {})}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# " + json.dumps(meta, separators=(",", ":")) + "\n")
         fh.write(",".join(header) + "\n")
@@ -258,9 +249,8 @@ def write_kernel_csv(path, estimate, extra_meta: dict | None = None) -> None:
         "target": estimate.target,
         "num_probes": estimate.num_probes,
     }
-    meta.update(extra_meta or {})
     rows = ([_fmt(t), _fmt(p)] for t, p in zip(estimate.tau, estimate.phi))
-    _write_csv(path, meta, ["tau", "phi_hat"], rows)
+    _write_csv(path, meta, extra_meta, ["tau", "phi_hat"], rows)
 
 
 def write_heatmap_csv(path, heatmap, extra_meta: dict | None = None) -> None:
@@ -271,12 +261,11 @@ def write_heatmap_csv(path, heatmap, extra_meta: dict | None = None) -> None:
         "steps": heatmap.steps,
         "num_probes": heatmap.num_probes,
     }
-    meta.update(extra_meta or {})
     header = ["target"] + [f"source_{j}" for j in range(k)]
     rows = (
         [str(i)] + [_fmt(v) for v in heatmap.integrals[i]] for i in range(k)
     )
-    _write_csv(path, meta, header, rows)
+    _write_csv(path, meta, extra_meta, header, rows)
 
 
 def _weight_cells(row: np.ndarray) -> list[str]:
@@ -297,7 +286,6 @@ def write_attention_csv(path, amap, extra_meta: dict | None = None) -> None:
     so a streamed map (``model._attention_rows``) is never held whole."""
     n = len(amap.times)
     meta = {"artifact": "attention_map", "num_points": n}
-    meta.update(extra_meta or {})
     header = ["time", "kind", "query_type"] + [f"w_{j}" for j in range(n)]
     rows = (
         [
@@ -308,13 +296,12 @@ def write_attention_csv(path, amap, extra_meta: dict | None = None) -> None:
         + _weight_cells(row)
         for i, row in enumerate(amap.matrix)
     )
-    _write_csv(path, meta, header, rows)
+    _write_csv(path, meta, extra_meta, header, rows)
 
 
 def write_trace_csv(path, trace, true_values=None, extra_meta: dict | None = None) -> None:
     k = trace.values.shape[1]
     meta = {"artifact": "intensity_trace", "num_points": len(trace.times)}
-    meta.update(extra_meta or {})
     header = ["t"] + [f"lambda_{i}" for i in range(k)]
     if true_values is not None:
         header += [f"true_{i}" for i in range(k)]
@@ -326,4 +313,4 @@ def write_trace_csv(path, trace, true_values=None, extra_meta: dict | None = Non
                 row += [_fmt(v) for v in true_values[i]]
             yield row
 
-    _write_csv(path, meta, header, rows())
+    _write_csv(path, meta, extra_meta, header, rows())

@@ -16,7 +16,7 @@ relative elapsed time through a small MLP head.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -188,28 +188,14 @@ class ModelParams:
     extrap_readout: np.ndarray | None = None  # (K, M)
 
     def __post_init__(self):
-        for name in PARAM_FIELDS_ALL:
-            value = getattr(self, name)
+        for field in fields(ModelParams):
+            value = getattr(self, field.name)
             if value is not None:
-                object.__setattr__(self, name, np.asarray(value, dtype=np.float64))
-
-
-PARAM_FIELDS_BASE = ("type_embed", "value_proj", "readout", "bias")
-PARAM_FIELDS_EXTRA = (
-    "mlp_w1",
-    "mlp_b1",
-    "mlp_w2",
-    "mlp_b2",
-    "extrap_coef",
-    "extrap_readout",
-)
-PARAM_FIELDS_ALL = PARAM_FIELDS_BASE + PARAM_FIELDS_EXTRA
+                object.__setattr__(self, field.name, np.asarray(value, dtype=np.float64))
 
 
 def param_fields(cfg: ModelConfig) -> tuple[str, ...]:
-    if cfg.variant == VARIANT_EXTRAPOLATION:
-        return PARAM_FIELDS_ALL
-    return PARAM_FIELDS_BASE
+    return tuple(param_shapes(cfg))
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -253,11 +239,10 @@ def flatten_params(params: ModelParams, cfg: ModelConfig) -> np.ndarray:
 
 
 def unflatten_params(vec: np.ndarray, cfg: ModelConfig) -> ModelParams:
-    shapes = param_shapes(cfg)
     out, pos = {}, 0
-    for name in param_fields(cfg):
-        size = int(np.prod(shapes[name])) if shapes[name] else 1
-        out[name] = np.array(vec[pos : pos + size], dtype=np.float64).reshape(shapes[name])
+    for name, shape in param_shapes(cfg).items():
+        size = math.prod(shape)
+        out[name] = np.array(vec[pos : pos + size], dtype=np.float64).reshape(shape)
         pos += size
     if pos != vec.size:
         raise ValueError(f"vector has {vec.size} entries, parameters need {pos}")

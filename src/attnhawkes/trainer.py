@@ -21,6 +21,7 @@ from .diff import _compensator, _event_term, _gradients_cached, _sequence_terms
 from .domain import Dataset, EventSequence, IntegrationGrid, make_grid
 from .errors import Diverged, EmptySplit, NonFinite
 from .model import (
+    VARIANT_EXTRAPOLATION,
     ModelConfig,
     ModelParams,
     flatten_params,
@@ -152,11 +153,12 @@ def init_params(cfg: ModelConfig, train_seqs, seed: int) -> ModelParams:
 
 
 def _split_tll(params, cfg, caches):
-    """Total log-likelihood per event over prebuilt caches."""
+    """Total log-likelihood per event over the caches of a split, a list or a generator."""
     total, events = 0.0, 0
     for cache in caches:
         total += _sequence_terms(params, cfg, cache)[1]
         events += cache.length
+        del cache  # before a generator builds the next, so one cache is held at a time
     if events == 0:
         raise EmptySplit("split has no events")
     return total / events
@@ -193,13 +195,24 @@ def train(
     validation log-likelihood per event and returns the best-validation
     parameters.  Two consecutive non-finite batch objectives raise
     ``Diverged``; a single one skips the update.  With ``max_epochs == 0``
-    the seeded initialization is returned untouched.
+    the seeded initialization is returned untouched.  Raises ``ValueError``
+    when ``train_cfg`` and ``cfg`` name different grid subdivisions, since
+    the model is saved with, and evaluated on, the grid of ``cfg``, and
+    for ``skip_connection`` with the extrapolation variant, which has no
+    query readout for the flag to add.
 
     When ``log_stream`` is given, one JSON record per epoch is written with
     the epoch number, summed train objective, validation log-likelihood per
     event, and elapsed seconds.
     """
     start = time.perf_counter()
+    if train_cfg.grid_subdivisions != cfg.grid_subdivisions:
+        raise ValueError(
+            f"train_cfg.grid_subdivisions is {train_cfg.grid_subdivisions}, "
+            f"but the model's is {cfg.grid_subdivisions}"
+        )
+    if cfg.skip_connection and cfg.variant == VARIANT_EXTRAPOLATION:
+        raise ValueError("skip_connection applies to the attention variant only")
     if not dataset.train:
         raise EmptySplit("train split is empty")
     report = TrainReport()

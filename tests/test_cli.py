@@ -239,6 +239,19 @@ class TestTrainEval:
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
 
+    def test_skip_connection_with_extrapolation_exits_2(self, tmp_path, capsys):
+        data = simulate(tmp_path)
+        model = tmp_path / "model.json"
+        code = run_cli(
+            [
+                "train", "--data", str(data), "--M", "4", "--grid", "3", "--epochs", "1",
+                "--variant", "ex-ithp", "--skip-connection", "--out", str(model),
+            ]
+        )
+        assert code == 2
+        assert "attention variant" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_unknown_metric_exit_1(self, tmp_path, capsys):
         data = simulate(tmp_path)
         model = self.train(tmp_path, data)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from attnhawkes.diff import (
+    GradientBundle,
     central_difference,
     finite_diff_gradient,
     objective_and_gradients,
@@ -17,8 +19,11 @@ from attnhawkes.model import (
     VARIANT_ATTENTION,
     VARIANT_EXTRAPOLATION,
     ModelConfig,
+    ModelParams,
     flatten_params,
     intensity_all_types,
+    param_fields,
+    param_shapes,
     perturb_param,
     zeros_params,
 )
@@ -139,6 +144,32 @@ class TestGradientExactness:
         exact = objective_and_gradients(params, cfg, batch).as_vector(cfg)
         approx = finite_diff_gradient(params, cfg, batch, eps=1e-5).as_vector(cfg)
         assert _rel_err(exact, approx) < 1e-4
+
+
+class TestGradientBundle:
+    @pytest.mark.parametrize("variant", [VARIANT_ATTENTION, VARIANT_EXTRAPOLATION])
+    def test_sets_exactly_the_variant_fields(self, rng, variant):
+        cfg = ModelConfig(num_types=2, embed_dim=4, variant=variant, grid_subdivisions=3)
+        params = random_params(cfg, rng)
+        batch = _batch(cfg, [random_sequence(rng, 3, 2, 2.0)])
+        for bundle in (
+            objective_and_gradients(params, cfg, batch),
+            finite_diff_gradient(params, cfg, batch),
+        ):
+            present = [
+                f.name for f in dataclasses.fields(ModelParams) if getattr(bundle, f.name) is not None
+            ]
+            assert present == list(param_fields(cfg))
+            for name, shape in param_shapes(cfg).items():
+                assert getattr(bundle, name).shape == shape
+            assert isinstance(bundle.objective, float)
+
+    def test_objective_is_required(self):
+        cfg = ModelConfig(num_types=1, embed_dim=2)
+        arrays = {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
+        with pytest.raises(TypeError):
+            GradientBundle(**arrays)
+        assert GradientBundle(objective=-1.5, **arrays).objective == -1.5
 
 
 class TestStructure:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from attnhawkes.model import (
     ModelConfig,
     flatten_params,
     param_shapes,
+    unflatten_params,
 )
 
 from conftest import random_params, random_sequence
@@ -159,6 +162,41 @@ class TestModelFiles:
         again = tmp_path / "model2.json"
         save_model(loaded_params, loaded_cfg, again)
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "variant,skip,digest",
+        [
+            ("ithp", False, "dda3d04b38e063b2237cfb80a40e68e3bb78886951752cc96403f2c3f099f32f"),
+            ("ithp", True, "31f37988d370c51003a530257a91fdbd90852d0dd3d4a285a7181dff8241154a"),
+            (
+                VARIANT_EXTRAPOLATION,
+                False,
+                "2d7291e0a2535748aaa1b2d86a155a3c944ae721c09aa05258d05e00bb21127c",
+            ),
+        ],
+    )
+    def test_file_bytes_are_pinned(self, tmp_path, variant, skip, digest):
+        # a tiny fixed model: the sha256 pins the key order, the indentation and
+        # every float's repr, so a change in how the file is written fails here
+        cfg = ModelConfig(
+            num_types=1,
+            embed_dim=2,
+            value_dim=4 if skip else 1,
+            hidden_dim=1,
+            variant=variant,
+            grid_subdivisions=3,
+            skip_connection=skip,
+        )
+        size = sum(math.prod(shape) for shape in param_shapes(cfg).values())
+        path = tmp_path / "model.json"
+        save_model(unflatten_params(np.linspace(-1.0, 1.0, size), cfg), cfg, path)
+        doc = json.loads(path.read_text())
+        assert list(doc["config"]) == [
+            "num_types", "embed_dim", "value_dim", "hidden_dim", "variant",
+            "grid_subdivisions", "skip_connection",
+        ]
+        assert list(doc["params"]) == list(param_shapes(cfg))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_rejects_bad_json(self, tmp_path):
         path = tmp_path / "model.json"

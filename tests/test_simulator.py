@@ -392,3 +392,48 @@ class TestExplosiveGuards:
             thin_simulate(spec, 2000.0, np.random.default_rng(1))
         with pytest.raises(UnboundedIntensity, match="150 events"):
             simulate_dataset(spec, 2000.0, 8, 2)
+
+
+class _StubGenerator:
+    """Hands out preset draws: ``exponential`` ignores its scale."""
+
+    def __init__(self, exponentials, uniforms):
+        self._exponentials = iter(exponentials)
+        self._uniforms = iter(uniforms)
+
+    def exponential(self, scale):
+        return next(self._exponentials)
+
+    def random(self):
+        return next(self._uniforms)
+
+
+class TestHalfSineWindowEdge:
+    # An event at t = fl(s - pi)'s successor is inside the bisect_right(times, s - pi)
+    # window, yet fl(s - t) is exactly fl(pi), where the kernel is zero.  Only the
+    # re-check tau < pi keeps its sin(fl(pi)) = 1.2e-16 out of the intensity.
+    S = 3.738936833485145
+    T = float(np.nextafter(S - math.pi, math.inf))
+    SPEC = HawkesSpec(mu=[0.05], kernel=HALF_SINE, alpha=[[1.0]])
+
+    def test_the_input_sits_on_the_edge(self):
+        assert self.S - math.pi < self.T and self.S - self.T == math.pi
+        assert self.T + math.pi == self.S
+        assert math.sin(math.pi) > 0.0
+
+    def test_lockstep_intensity_leaves_the_event_out(self):
+        lanes = simulator._HalfSineLanes(self.SPEC, 1)
+        hist = simulator._History(1)
+        hist.append(np.array([0]), np.array([self.T]), np.array([0]))
+        lam = lanes.intensities(np.array([self.S]), np.array([math.pi]), hist, np.array([0]))
+        assert lam.tolist() == [[0.05]]
+
+    def test_loop_rejects_a_proposal_only_the_edge_term_would_accept(self):
+        # the first proposal lands at T and is accepted; the second lands at S, where
+        # the threshold lies between mu and mu + alpha sin(fl(pi))
+        lam_bar = 0.05 + 1.0  # the bound at T: the new event's kernel peak counts 1
+        d = (0.05 + 0.5 * math.sin(math.pi)) / lam_bar
+        assert 0.05 < d * lam_bar <= 0.05 + math.sin(math.pi)
+        rng = _StubGenerator([self.T, math.pi, 10.0], [0.0, d])
+        times, types = simulator._thin_half_sine(self.SPEC, 5.0, rng)
+        assert times == [self.T] and types == [0]

@@ -8,6 +8,7 @@ import pytest
 from attnhawkes.domain import Dataset, EventSequence, make_grid, split_dataset
 from attnhawkes.errors import Diverged, EmptySplit, NonFinite
 from attnhawkes.model import (
+    VARIANT_ATTENTION,
     VARIANT_EXTRAPOLATION,
     ModelConfig,
     flatten_params,
@@ -171,6 +172,39 @@ class TestTrain:
         got = test_tll(params, cfg, ds.val, grid_subdivisions=tc.grid_subdivisions)
         assert got == pytest.approx(max(report.val_tlls), rel=1e-12)
         assert report.val_tlls[report.best_epoch] == max(report.val_tlls)
+
+    @pytest.mark.parametrize("variant", [VARIANT_ATTENTION, VARIANT_EXTRAPOLATION])
+    def test_best_validation_is_the_test_tll_of_the_returned_params(self, variant):
+        from attnhawkes.evaluate import test_tll
+
+        ds = self.small_dataset()
+        cfg = ModelConfig(num_types=1, embed_dim=4, variant=variant, grid_subdivisions=4)
+        tc = TrainConfig(
+            learning_rate=1e-2, max_epochs=5, patience=5, batch_size=4, grid_subdivisions=4
+        )
+        params, report = train(ds, cfg, tc)
+        # one per-event likelihood serves the validation pass and test_tll
+        got = test_tll(params, cfg, ds.val, cfg.grid_subdivisions)
+        assert got == report.val_tlls[report.best_epoch]
+
+    def test_refuses_a_grid_other_than_the_model_grid(self):
+        # the model is saved with, and evaluated on, the grid of its config
+        ds = self.small_dataset()
+        cfg = ModelConfig(num_types=1, embed_dim=4, grid_subdivisions=10)
+        for max_epochs in (0, 2):
+            tc = TrainConfig(max_epochs=max_epochs, grid_subdivisions=3)
+            with pytest.raises(ValueError, match="grid_subdivisions"):
+                train(ds, cfg, tc)
+
+    def test_refuses_the_skip_connection_for_the_extrapolation_variant(self):
+        # the flag is inert for that variant, so a saved model would misstate it
+        ds = self.small_dataset()
+        cfg = ModelConfig(
+            num_types=1, embed_dim=4, variant=VARIANT_EXTRAPOLATION, skip_connection=True
+        )
+        for max_epochs in (0, 2):
+            with pytest.raises(ValueError, match="attention variant"):
+                train(ds, cfg, TrainConfig(max_epochs=max_epochs))
 
     def test_deterministic_under_seed(self):
         ds = self.small_dataset()
