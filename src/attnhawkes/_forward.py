@@ -81,8 +81,7 @@ class SequenceCache:
         self.length = length
         self.z_ev = temporal_embedding(self.times, cfg.embed_dim)  # (L, M)
         self.onehot = np.zeros((length, cfg.num_types))
-        if length:
-            self.onehot[np.arange(length), self.types] = 1.0
+        self.onehot[np.arange(length), self.types] = 1.0
         if cfg.variant == VARIANT_EXTRAPOLATION and length and self.times[0] == 0.0:
             raise DegenerateAnchor("first event at t=0 cannot anchor extrapolation")
         self.grid = grid
@@ -99,9 +98,8 @@ class SequenceCache:
             dg = np.diff(pts)
             left_half = np.zeros(len(pts))
             right_half = np.zeros(len(pts))
-            if len(dg):
-                left_half[1:] = dg / 2.0
-                right_half[:-1] = dg / 2.0
+            left_half[1:] = dg / 2.0
+            right_half[:-1] = dg / 2.0
             is_ev_pt = np.zeros(len(pts), dtype=bool)
             is_ev_pt[ev_pos] = True
             # The intensity jumps at events, so each event grid point is
@@ -142,7 +140,7 @@ class Forward:
 
     __slots__ = (
         "x_ev", "gram", "values", "value_read", "pre_ev", "type_w", "pre_gr",
-        "d_pre", "r", "attn_out", "mlp_pre", "mlp_hidden", "hidden_read",
+        "d_pre", "r", "attn_out", "mlp_pre", "mlp_hidden", "hidden", "hidden_read",
     )
 
 
@@ -205,8 +203,8 @@ def forward(
             f.attn_out[lo:hi] = a @ f.values[:cols]
         f.mlp_pre = f.attn_out @ params.mlp_w1 + params.mlp_b1  # (L, M_H)
         f.mlp_hidden = np.maximum(f.mlp_pre, 0.0)
-        hidden = f.mlp_hidden @ params.mlp_w2 + params.mlp_b2  # (L, M)
-        f.hidden_read = hidden @ params.extrap_readout.T  # (L, K)
+        f.hidden = f.mlp_hidden @ params.mlp_w2 + params.mlp_b2  # (L, M)
+        f.hidden_read = f.hidden @ params.extrap_readout.T  # (L, K)
         f.pre_gr = np.tile(params.bias, (len(cache.h), 1))
         on = cache.anchored
         f.pre_gr[on] += (
@@ -243,8 +241,7 @@ def backward(
         grads["extrap_coef"] = cache.rel_elapsed_gr[on] @ d_pre[on]
         d_hidden_read = np.zeros((length, k_types))
         np.add.at(d_hidden_read, cache.anchor[on], d_pre[on])
-        hidden = f.mlp_hidden @ params.mlp_w2 + params.mlp_b2
-        grads["extrap_readout"] = d_hidden_read.T @ hidden
+        grads["extrap_readout"] = d_hidden_read.T @ f.hidden
         d_hidden = d_hidden_read @ params.extrap_readout  # (L, M)
         grads["mlp_b2"] = d_hidden.sum(axis=0)
         grads["mlp_w2"] = f.mlp_hidden.T @ d_hidden

@@ -42,10 +42,6 @@ class GradientBundle(ModelParams):
         return flatten_params(self, cfg)
 
 
-def _zero_grads(cfg):
-    return {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
-
-
 def _build_caches(cfg, batch):
     return [SequenceCache(cfg, seq, grid) for seq, grid in batch]
 
@@ -91,26 +87,29 @@ def _sequence_terms(params, cfg, cache, where="", cotangent=None):
         raise NonFinite(f"{where}{err}") from err
 
 
-def _objective_cached(params, cfg, caches):
-    total = 0.0
-    for i, cache in enumerate(caches):
-        _, value = _sequence_terms(params, cfg, cache, f"sequence {i}: ")
+def _objective_cached(params, cfg, caches, grads=None):
+    """Summed log-likelihood and event count of ``caches``, a list or a generator;
+    with ``grads``, each sequence's gradient is added into it."""
+    total, events, i = 0.0, 0, 0  # not enumerate, which holds a cache while the next is built
+    for cache in caches:
+        cotangent = None if grads is None else _cotangent(cache)
+        fwd, value = _sequence_terms(params, cfg, cache, f"sequence {i}: ", cotangent)
         total += value
+        events += cache.length
+        if grads is not None:
+            for name, g in backward(params, cfg, cache, fwd).items():
+                grads[name] += g
+        i += 1
+        # before a generator builds the next, so one cache is held at a time
+        del cache, cotangent, fwd
     if not np.isfinite(total):
         raise NonFinite(f"objective is {total}")
-    return total
+    return total, events
 
 
 def _gradients_cached(params, cfg, caches):
-    total = 0.0
-    grads = _zero_grads(cfg)
-    for i, cache in enumerate(caches):
-        fwd, value = _sequence_terms(params, cfg, cache, f"sequence {i}: ", _cotangent(cache))
-        total += value
-        for name, g in backward(params, cfg, cache, fwd).items():
-            grads[name] += g
-    if not np.isfinite(total):
-        raise NonFinite(f"objective is {total}")
+    grads = {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
+    total = _objective_cached(params, cfg, caches, grads)[0]
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NonFinite(f"gradient of {name} has non-finite entries")
@@ -119,7 +118,7 @@ def _gradients_cached(params, cfg, caches):
 
 def objective_value(params: ModelParams, cfg: ModelConfig, batch) -> float:
     """Summed discretized log-likelihood of ``batch``; empty batches give 0."""
-    return _objective_cached(params, cfg, _build_caches(cfg, batch))
+    return _objective_cached(params, cfg, _build_caches(cfg, batch))[0]
 
 
 def objective_and_gradients(params: ModelParams, cfg: ModelConfig, batch) -> GradientBundle:
@@ -153,7 +152,7 @@ def finite_diff_gradient(
     caches = _build_caches(cfg, batch)
 
     def fn(vec):
-        return _objective_cached(unflatten_params(vec, cfg), cfg, caches)
+        return _objective_cached(unflatten_params(vec, cfg), cfg, caches)[0]
 
     grads = unflatten_params(central_difference(fn, flatten_params(params, cfg), eps), cfg)
-    return GradientBundle(objective=_objective_cached(params, cfg, caches), **vars(grads))
+    return GradientBundle(objective=_objective_cached(params, cfg, caches)[0], **vars(grads))

@@ -226,10 +226,10 @@ def load_model(path) -> tuple[ModelParams, ModelConfig]:
             raise DataError(f"parameter {name!r} is malformed: {err}") from err
         if not shape_ok or data.size != int(np.prod(shape)):
             raise DataError(f"parameter {name!r} has the wrong shape")
+        if not np.isfinite(data).all():
+            raise DataError(f"parameter {name!r} has non-finite entries")
         arrays[name] = data.reshape(shape)
-    params = ModelParams(**arrays)
-    validate_params(params, cfg)
-    return params, cfg
+    return ModelParams(**arrays), cfg
 
 
 def _write_csv(path, meta: dict, extra_meta: dict | None, header: list[str], rows) -> None:

@@ -169,6 +169,8 @@ class ModelConfig:
             )
         if self.skip_connection and self.value_dim != 2 * self.embed_dim:
             raise ValueError("skip_connection requires value_dim == 2 * embed_dim")
+        if self.skip_connection and self.variant == VARIANT_EXTRAPOLATION:
+            raise ValueError("skip_connection applies to the attention variant only")
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,10 +474,7 @@ def _attention_blocks(params, cfg, seq, grid):
         raise ValueError("grid does not contain every event time of the sequence")
     is_event = np.zeros(len(points), dtype=bool)
     is_event[event_cols] = True
-    if len(seq):
-        modal = int(np.argmax(np.bincount(seq.types, minlength=cfg.num_types)))
-    else:
-        modal = 0
+    modal = int(np.argmax(np.bincount(seq.types, minlength=cfg.num_types)))
     query_types = np.full(len(points), modal, dtype=np.int64)
     query_types[event_cols] = seq.types
     h = np.searchsorted(seq.times, points, side="left")

@@ -101,7 +101,7 @@ def kernel_eval(spec: HawkesSpec, target: int, source: int, tau):
     a = spec.alpha[target, source]
     if spec.kernel == EXPONENTIAL:
         b = spec.beta[target, source]
-        out = np.where(tau > 0.0, a * np.exp(-np.minimum(b * tau, 700.0)), 0.0)
+        out = np.where(tau > 0.0, a * np.exp(-b * np.maximum(tau, 0.0)), 0.0)
     else:
         out = np.where((tau > 0.0) & (tau < math.pi), a * np.sin(tau), 0.0)
     return out if out.ndim else float(out)

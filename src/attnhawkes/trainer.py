@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._forward import SequenceCache, forward
-from .diff import _compensator, _event_term, _gradients_cached, _sequence_terms
+from .diff import _compensator, _event_term, _gradients_cached, _objective_cached, _sequence_terms
 from .domain import Dataset, EventSequence, IntegrationGrid, make_grid
 from .errors import Diverged, EmptySplit, NonFinite
 from .model import (
-    VARIANT_EXTRAPOLATION,
     ModelConfig,
     ModelParams,
     flatten_params,
@@ -126,7 +125,7 @@ def empirical_rates(seqs, num_types: int) -> np.ndarray:
 def init_params(cfg: ModelConfig, train_seqs, seed: int) -> ModelParams:
     """Seeded initialization.
 
-    Weight matrices draw from Normal(0, 1/sqrt(fan_in)) in a fixed field
+    Weight matrices draw from Normal(0, 1/sqrt(fan_in)) in ``param_shapes``
     order; biases invert softplus at the per-type empirical rates of the
     train split (floored at 1e-4) so the model starts near the homogeneous
     baseline.  MLP biases and the extrapolation slope start at zero.
@@ -134,31 +133,21 @@ def init_params(cfg: ModelConfig, train_seqs, seed: int) -> ModelParams:
     rng = np.random.default_rng(seed)
     m, k = cfg.embed_dim, cfg.num_types
     mv, mh = cfg.value_dim, cfg.hidden_dim
+    fan_in = dict(
+        type_embed=k, value_proj=2 * m, readout=mv, mlp_w1=mv, mlp_w2=mh, extrap_readout=m
+    )
     values = {
-        "type_embed": rng.normal(0.0, 1.0 / np.sqrt(k), size=(m, k)),
-        "value_proj": rng.normal(0.0, 1.0 / np.sqrt(2 * m), size=(2 * m, mv)),
-        "readout": rng.normal(0.0, 1.0 / np.sqrt(mv), size=(k, mv)),
-        "bias": softplus_inv(np.maximum(empirical_rates(train_seqs, k), RATE_FLOOR)),
+        name: rng.normal(0.0, 1.0 / np.sqrt(fan_in[name]), size=shape)
+        if name in fan_in else np.zeros(shape)
+        for name, shape in param_shapes(cfg).items()
     }
-    if "mlp_w1" in param_shapes(cfg):
-        values.update(
-            mlp_w1=rng.normal(0.0, 1.0 / np.sqrt(mv), size=(mv, mh)),
-            mlp_b1=np.zeros(mh),
-            mlp_w2=rng.normal(0.0, 1.0 / np.sqrt(mh), size=(mh, m)),
-            mlp_b2=np.zeros(m),
-            extrap_coef=np.zeros(k),
-            extrap_readout=rng.normal(0.0, 1.0 / np.sqrt(m), size=(k, m)),
-        )
+    values["bias"] = softplus_inv(np.maximum(empirical_rates(train_seqs, k), RATE_FLOOR))
     return ModelParams(**values)
 
 
 def _split_tll(params, cfg, caches):
     """Total log-likelihood per event over the caches of a split, a list or a generator."""
-    total, events = 0.0, 0
-    for cache in caches:
-        total += _sequence_terms(params, cfg, cache)[1]
-        events += cache.length
-        del cache  # before a generator builds the next, so one cache is held at a time
+    total, events = _objective_cached(params, cfg, caches)
     if events == 0:
         raise EmptySplit("split has no events")
     return total / events
@@ -197,9 +186,7 @@ def train(
     ``Diverged``; a single one skips the update.  With ``max_epochs == 0``
     the seeded initialization is returned untouched.  Raises ``ValueError``
     when ``train_cfg`` and ``cfg`` name different grid subdivisions, since
-    the model is saved with, and evaluated on, the grid of ``cfg``, and
-    for ``skip_connection`` with the extrapolation variant, which has no
-    query readout for the flag to add.
+    the model is saved with, and evaluated on, the grid of ``cfg``.
 
     When ``log_stream`` is given, one JSON record per epoch is written with
     the epoch number, summed train objective, validation log-likelihood per
@@ -211,8 +198,6 @@ def train(
             f"train_cfg.grid_subdivisions is {train_cfg.grid_subdivisions}, "
             f"but the model's is {cfg.grid_subdivisions}"
         )
-    if cfg.skip_connection and cfg.variant == VARIANT_EXTRAPOLATION:
-        raise ValueError("skip_connection applies to the attention variant only")
     if not dataset.train:
         raise EmptySplit("train split is empty")
     report = TrainReport()

@@ -456,6 +456,43 @@ class TestTypeCountMismatch:
                 assert not out.exists()
 
 
+class TestModelFileChecks:
+    def mangled_model(self, tmp_path, variant, mangle):
+        """A saved one-type model whose JSON document ``mangle`` edits in place."""
+        cfg = ModelConfig(num_types=1, embed_dim=4, variant=variant)
+        model = tmp_path / "model.json"
+        save_model(random_params(cfg, np.random.default_rng(0)), cfg, model)
+        doc = json.loads(model.read_text())
+        mangle(doc)
+        model.write_text(json.dumps(doc))
+        return model
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys, value):
+        # unchecked, a NaN type embedding gives an all-zero heatmap (its finite mask drops it)
+        def poison(doc):
+            doc["params"]["type_embed"]["data"][0] = value
+
+        data = simulate(tmp_path)
+        model = self.mangled_model(tmp_path, "ithp", poison)
+        out = tmp_path / "out.csv"
+        for argv in _interpretation_commands(model, data, out):
+            assert run_cli(argv) == 2, argv[0]
+            assert "'type_embed' has non-finite entries" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_skip_connection_with_extrapolation_exits_2(self, tmp_path, capsys):
+        data = simulate(tmp_path)
+        model = self.mangled_model(
+            tmp_path, "ex-ithp", lambda doc: doc["config"].update(skip_connection=True)
+        )
+        out = tmp_path / "out.csv"
+        for argv in _interpretation_commands(model, data, out):
+            assert run_cli(argv) == 2, argv[0]
+            assert "attention variant" in capsys.readouterr().err
+            assert not out.exists()
+
+
 class TestSplitOnlyLoading:
     @pytest.fixture()
     def setup(self, tmp_path):

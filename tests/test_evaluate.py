@@ -99,8 +99,10 @@ class TestTypeAccuracy:
         seq = EventSequence(times=[1.0, 2.0], types=[1, 0], horizon=5.0, num_types=2)
         assert type_accuracy(params, cfg, [lone, seq]) == 1.0
 
-    @pytest.mark.parametrize("variant", [VARIANT_ATTENTION, VARIANT_EXTRAPOLATION])
-    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize(
+        "skip, variant",
+        [(False, VARIANT_ATTENTION), (False, VARIANT_EXTRAPOLATION), (True, VARIANT_ATTENTION)],
+    )
     def test_event_pre_matches_oracle(self, rng, variant, skip):
         # x12 type embeddings make the score flush fire
         for num_types, embed_scale in ((3, 1.0), (4, 1.0), (4, 12.0)):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,15 @@ class TestKernelEval:
         assert out.shape == (3,)
         assert out[0] == 0.0
         assert out[1] == pytest.approx(1.0 * math.exp(-0.5), rel=1e-12)
+
+    def test_exponential_tail_underflows_to_zero_without_warnings(self):
+        # beta * tau = 1000 underflows to exactly 0, not to a clamped alpha e^-700
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernel_eval(EXP_SPEC, 0, 0, 200.0) == 0.0
+            assert kernel_eval(EXP_SPEC, 0, 0, -200.0) == 0.0
+            out = kernel_eval(EXP_SPEC, 0, 0, np.array([-1e6, -200.0, 200.0, 1e6]))
+        assert np.array_equal(out, np.zeros(4))
 
 
 class TestTrueIntensity:

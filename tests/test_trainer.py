@@ -1,10 +1,13 @@
+import hashlib
 import io
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from attnhawkes._forward import SequenceCache
 from attnhawkes.domain import Dataset, EventSequence, make_grid, split_dataset
 from attnhawkes.errors import Diverged, EmptySplit, NonFinite
 from attnhawkes.model import (
@@ -19,6 +22,7 @@ from attnhawkes.simulator import EXPONENTIAL, HawkesSpec, simulate_dataset
 from attnhawkes.trainer import (
     RATE_FLOOR,
     TrainConfig,
+    _split_tll,
     compensator,
     empirical_rates,
     event_term,
@@ -74,6 +78,44 @@ class TestLikelihoodTerms:
             event_term(params, cfg, seq)
 
 
+class TestSplitTll:
+    def split_with_a_bad_sequence(self):
+        # bias -800 makes a type-1 event's intensity zero, so only sequence 2 fails
+        cfg = ModelConfig(num_types=2, embed_dim=4)
+        params = zeros_params(cfg)
+        params.bias[:] = [0.1, -800.0]
+        good = EventSequence(times=[1.0, 2.0], types=[0, 0], horizon=3.0, num_types=2)
+        bad = EventSequence(times=[1.0], types=[1], horizon=3.0, num_types=2)
+        return params, cfg, [good, good, bad]
+
+    def test_a_non_finite_validation_term_names_its_sequence(self):
+        from attnhawkes.evaluate import test_tll
+
+        params, cfg, seqs = self.split_with_a_bad_sequence()
+        caches = [SequenceCache(cfg, s, make_grid(s, 3)) for s in seqs]
+        with pytest.raises(NonFinite, match="^sequence 2: an event intensity"):
+            _split_tll(params, cfg, caches)
+        with pytest.raises(NonFinite, match="^sequence 2: an event intensity"):
+            test_tll(params, cfg, seqs, 3)
+
+    def test_a_generator_of_caches_is_held_one_cache_at_a_time(self, rng):
+        cfg = ModelConfig(num_types=2, embed_dim=4)
+        params = random_params(cfg, rng)
+        seqs = [random_sequence(rng, n, 2, 8.0) for n in (5, 0, 9, 3)]
+        refs, alive = [], []
+
+        def build(seq):
+            # how many earlier caches are still alive when the next is built
+            alive.append(sum(ref() is not None for ref in refs))
+            cache = SequenceCache(cfg, seq, make_grid(seq, 3))
+            refs.append(weakref.ref(cache))
+            return cache
+
+        got = _split_tll(params, cfg, (build(s) for s in seqs))
+        assert alive == [0, 0, 0, 0]
+        assert got == _split_tll(params, cfg, [build(s) for s in seqs])
+
+
 class TestEmpiricalRates:
     def test_counts_over_time(self):
         a = EventSequence(times=[1.0, 2.0, 3.0], types=[0, 0, 1], horizon=10.0, num_types=2)
@@ -111,6 +153,34 @@ class TestInitParams:
         assert np.array_equal(params.extrap_coef, np.zeros(2))
         assert np.array_equal(params.mlp_b1, np.zeros(cfg.hidden_dim))
         assert np.array_equal(params.mlp_b2, np.zeros(cfg.embed_dim))
+
+    @pytest.mark.parametrize(
+        "variant,dims,digest",
+        [
+            ("ithp", {}, "6bee134c7ebd5158bd67949844819cdd707611a89ac90df226654a894c5e268f"),
+            (
+                "ithp",
+                {"value_dim": 6},
+                "96e64b7379c5cef0eb44b657020205411300bc61cc0aa747853fd079f3244955",
+            ),
+            (
+                VARIANT_EXTRAPOLATION,
+                {},
+                "ec5aa3df9d58593cdbf35593884f6faaac213acb4db0c3e43da8a2dd05d544fc",
+            ),
+            (
+                VARIANT_EXTRAPOLATION,
+                {"value_dim": 6, "hidden_dim": 3},
+                "fb1b41bb224539aeebdf35f278fdce1a7dd5aa8ad14a00229392a3e5affa3346",
+            ),
+        ],
+    )
+    def test_draws_are_pinned(self, variant, dims, digest):
+        # the sha256 of the flat parameters pins the draw order, the fan-ins and the zeros
+        cfg = ModelConfig(num_types=2, embed_dim=4, variant=variant, **dims)
+        seqs = [EventSequence(times=[0.5, 1.0, 2.5], types=[0, 1, 0], horizon=3.0, num_types=2)]
+        params = init_params(cfg, seqs, seed=7)
+        assert hashlib.sha256(flatten_params(params, cfg).tobytes()).hexdigest() == digest
 
 
 class TestTrainConfig:
@@ -199,11 +269,11 @@ class TestTrain:
     def test_refuses_the_skip_connection_for_the_extrapolation_variant(self):
         # the flag is inert for that variant, so a saved model would misstate it
         ds = self.small_dataset()
-        cfg = ModelConfig(
-            num_types=1, embed_dim=4, variant=VARIANT_EXTRAPOLATION, skip_connection=True
-        )
         for max_epochs in (0, 2):
             with pytest.raises(ValueError, match="attention variant"):
+                cfg = ModelConfig(
+                    num_types=1, embed_dim=4, variant=VARIANT_EXTRAPOLATION, skip_connection=True
+                )
                 train(ds, cfg, TrainConfig(max_epochs=max_epochs))
 
     def test_deterministic_under_seed(self):
