@@ -140,17 +140,16 @@ class Forward:
 
     __slots__ = (
         "x_ev", "gram", "values", "value_read", "pre_ev", "type_w", "pre_gr",
-        "d_pre", "r", "attn_out", "mlp_pre", "mlp_hidden", "hidden", "hidden_read",
+        "d_pre", "r", "attn_out", "mlp_pre", "mlp_hidden", "hidden",
     )
 
 
 def _embed(params: ModelParams, cache: SequenceCache) -> Forward:
-    """Event embeddings, the type Gram matrix and the value readouts."""
+    """Event embeddings, the type Gram matrix and the values."""
     f = Forward()
     f.x_ev = np.concatenate([cache.z_ev, params.type_embed[:, cache.types].T], axis=1)  # (L, 2M)
     f.gram = params.type_embed.T @ params.type_embed  # (K, K)
     f.values = f.x_ev @ params.value_proj  # (L, M_V)
-    f.value_read = f.values @ params.readout.T  # (L, K)
     return f
 
 
@@ -161,6 +160,7 @@ def _query_pre(params, cfg, cache, f, cotangent):
     z_q, h = cache.z_gr, cache.h
     z_s = cache.z_ev / scale
     f.type_w = _type_pair_weights(f.gram, cache.types, scale)  # (L, K)
+    f.value_read = f.values @ params.readout.T  # (L, K)
     ones = np.ones((cache.length, 1))
     rhs = np.concatenate([f.type_w * f.value_read, f.type_w, ones], axis=1)  # (L, 2K + 1)
     pre = np.empty((len(h), k_types))
@@ -204,12 +204,12 @@ def forward(
         f.mlp_pre = f.attn_out @ params.mlp_w1 + params.mlp_b1  # (L, M_H)
         f.mlp_hidden = np.maximum(f.mlp_pre, 0.0)
         f.hidden = f.mlp_hidden @ params.mlp_w2 + params.mlp_b2  # (L, M)
-        f.hidden_read = f.hidden @ params.extrap_readout.T  # (L, K)
+        hidden_read = f.hidden @ params.extrap_readout.T  # (L, K)
         f.pre_gr = np.tile(params.bias, (len(cache.h), 1))
         on = cache.anchored
         f.pre_gr[on] += (
             params.extrap_coef[None, :] * cache.rel_elapsed_gr[on, None]
-            + f.hidden_read[cache.anchor[on]]
+            + hidden_read[cache.anchor[on]]
         )
         if cotangent is not None:
             f.d_pre = cotangent(0, len(cache.h), f.pre_gr)

@@ -42,10 +42,6 @@ class GradientBundle(ModelParams):
         return flatten_params(self, cfg)
 
 
-def _build_caches(cfg, batch):
-    return [SequenceCache(cfg, seq, grid) for seq, grid in batch]
-
-
 def _event_term(pre_ev):
     """Sum of event log-intensities; raises ``NonFinite`` on a zero or non-finite one."""
     if not np.isfinite(pre_ev).all() or (softplus(pre_ev) == 0.0).any():
@@ -78,23 +74,18 @@ def _cotangent(cache):
     return cotangent
 
 
-def _sequence_terms(params, cfg, cache, where="", cotangent=None):
-    """Forward pass and log-likelihood (event term minus compensator) of one sequence."""
-    try:
-        fwd = forward(params, cfg, cache, cotangent)
-        return fwd, _event_term(fwd.pre_ev) - _compensator(cache, fwd.pre_gr)
-    except NonFinite as err:
-        raise NonFinite(f"{where}{err}") from err
-
-
 def _objective_cached(params, cfg, caches, grads=None):
-    """Summed log-likelihood and event count of ``caches``, a list or a generator;
-    with ``grads``, each sequence's gradient is added into it."""
+    """Summed log-likelihood (event term minus compensator) and event count of
+    ``caches``, a list or a generator; with ``grads``, each sequence's gradient
+    is added into it."""
     total, events, i = 0.0, 0, 0  # not enumerate, which holds a cache while the next is built
     for cache in caches:
         cotangent = None if grads is None else _cotangent(cache)
-        fwd, value = _sequence_terms(params, cfg, cache, f"sequence {i}: ", cotangent)
-        total += value
+        try:
+            fwd = forward(params, cfg, cache, cotangent)
+            total += _event_term(fwd.pre_ev) - _compensator(cache, fwd.pre_gr)
+        except NonFinite as err:
+            raise NonFinite(f"sequence {i}: {err}") from err
         events += cache.length
         if grads is not None:
             for name, g in backward(params, cfg, cache, fwd).items():
@@ -118,7 +109,7 @@ def _gradients_cached(params, cfg, caches):
 
 def objective_value(params: ModelParams, cfg: ModelConfig, batch) -> float:
     """Summed discretized log-likelihood of ``batch``; empty batches give 0."""
-    return _objective_cached(params, cfg, _build_caches(cfg, batch))[0]
+    return _objective_cached(params, cfg, (SequenceCache(cfg, s, g) for s, g in batch))[0]
 
 
 def objective_and_gradients(params: ModelParams, cfg: ModelConfig, batch) -> GradientBundle:
@@ -129,7 +120,7 @@ def objective_and_gradients(params: ModelParams, cfg: ModelConfig, batch) -> Gra
     or any gradient entry fails to be finite, naming the sequence when one
     is responsible.
     """
-    return _gradients_cached(params, cfg, _build_caches(cfg, batch))
+    return _gradients_cached(params, cfg, (SequenceCache(cfg, s, g) for s, g in batch))
 
 
 def central_difference(fn, vec: np.ndarray, eps: float) -> np.ndarray:
@@ -149,7 +140,7 @@ def finite_diff_gradient(
     params: ModelParams, cfg: ModelConfig, batch, eps: float = 1e-5
 ) -> GradientBundle:
     """Central-difference gradient of the same discretized objective."""
-    caches = _build_caches(cfg, batch)
+    caches = [SequenceCache(cfg, s, g) for s, g in batch]
 
     def fn(vec):
         return _objective_cached(unflatten_params(vec, cfg), cfg, caches)[0]

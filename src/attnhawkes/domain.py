@@ -201,11 +201,9 @@ class IntegrationGrid:
     """Quadrature nodes on ``[0, T]`` that include every event time of the owner."""
 
     times: np.ndarray  # (N,) float64, strictly increasing
-    subdivisions: int  # interior points per inter-event interval, plus one
 
     def __post_init__(self):
         object.__setattr__(self, "times", _frozen_array(self.times, np.float64))
-        object.__setattr__(self, "subdivisions", int(self.subdivisions))
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -219,9 +217,9 @@ def make_grid(seq: EventSequence, subdivisions: int) -> IntegrationGrid:
         raise ValueError(f"subdivisions must be at least 1, got {g}")
     anchors = np.unique(np.concatenate(([0.0], seq.times, [seq.horizon])))
     if g == 1 or len(anchors) < 2:
-        return IntegrationGrid(times=anchors, subdivisions=g)
+        return IntegrationGrid(times=anchors)
     lo, hi = anchors[:-1, None], anchors[1:, None]
     steps = np.arange(1, g, dtype=np.float64)[None, :] / g
     interior = (lo + (hi - lo) * steps).ravel()
     times = np.unique(np.concatenate((anchors, interior)))
-    return IntegrationGrid(times=times, subdivisions=g)
+    return IntegrationGrid(times=times)

@@ -86,9 +86,6 @@ class NonFinite(NumericalError):
     """A log-likelihood term, the training objective or its gradient is not finite."""
 
 
-NonFiniteObjective = NonFinite
-
-
 class Diverged(NumericalError):
     """Training produced non-finite objectives on consecutive batches."""
 

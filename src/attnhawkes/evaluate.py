@@ -88,9 +88,6 @@ class IntensityTrace:
 
 def test_tll(params: ModelParams, cfg: ModelConfig, seqs, grid_subdivisions: int) -> float:
     """Total log-likelihood per event over a split."""
-    seqs = list(seqs)
-    if not seqs:
-        raise EmptySplit("no sequences in split")
     caches = (SequenceCache(cfg, s, make_grid(s, grid_subdivisions)) for s in seqs)
     return _split_tll(params, cfg, caches)
 

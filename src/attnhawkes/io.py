@@ -8,7 +8,6 @@ fixed, and newlines are always ``\\n``.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -209,27 +208,21 @@ def load_model(path) -> tuple[ModelParams, ModelConfig]:
         cfg = ModelConfig(**doc["config"])
     except (KeyError, TypeError, ValueError) as err:
         raise DataError(f"bad model config: {err}") from err
-    entries = doc.get("params", {})
-    if not isinstance(entries, dict):
-        raise DataError("model file's params must be a JSON object")
     arrays = {}
     for name, shape in param_shapes(cfg).items():
-        entry = entries.get(name)
-        if entry is None:
-            raise DataError(f"model file is missing parameter {name!r}")
-        if not isinstance(entry, dict):
-            raise DataError(f"parameter {name!r} must be an object with shape and data")
         try:
-            data = np.asarray(entry.get("data"), dtype=np.float64)
-            shape_ok = list(entry.get("shape", [])) == list(shape)
-        except (TypeError, ValueError) as err:
-            raise DataError(f"parameter {name!r} is malformed: {err}") from err
-        if not shape_ok or data.size != int(np.prod(shape)):
-            raise DataError(f"parameter {name!r} has the wrong shape")
-        if not np.isfinite(data).all():
-            raise DataError(f"parameter {name!r} has non-finite entries")
-        arrays[name] = data.reshape(shape)
-    return ModelParams(**arrays), cfg
+            entry = doc["params"][name]
+            if list(entry["shape"]) != list(shape):
+                raise ValueError(f"declared shape {entry['shape']}, expected {list(shape)}")
+            arrays[name] = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+        except (KeyError, TypeError, ValueError) as err:
+            raise DataError(f"parameter {name!r} is missing or malformed: {err!r}") from err
+    params = ModelParams(**arrays)
+    try:
+        validate_params(params, cfg)
+    except ValueError as err:
+        raise DataError(str(err)) from err
+    return params, cfg
 
 
 def _write_csv(path, meta: dict, extra_meta: dict | None, header: list[str], rows) -> None:

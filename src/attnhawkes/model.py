@@ -36,7 +36,6 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "AttentionMap",
-    "param_fields",
     "param_shapes",
     "zeros_params",
     "flatten_params",
@@ -196,10 +195,6 @@ class ModelParams:
                 object.__setattr__(self, field.name, np.asarray(value, dtype=np.float64))
 
 
-def param_fields(cfg: ModelConfig) -> tuple[str, ...]:
-    return tuple(param_shapes(cfg))
-
-
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     m, k = cfg.embed_dim, cfg.num_types
     mv, mh = cfg.value_dim, cfg.hidden_dim
@@ -228,6 +223,8 @@ def validate_params(params: ModelParams, cfg: ModelConfig) -> None:
             raise ValueError(f"missing parameter {name} for variant {cfg.variant}")
         if value.shape != shape:
             raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"parameter {name!r} has non-finite entries")
 
 
 def zeros_params(cfg: ModelConfig) -> ModelParams:
@@ -236,7 +233,7 @@ def zeros_params(cfg: ModelConfig) -> ModelParams:
 
 def flatten_params(params: ModelParams, cfg: ModelConfig) -> np.ndarray:
     return np.concatenate(
-        [np.asarray(getattr(params, n), dtype=np.float64).ravel() for n in param_fields(cfg)]
+        [np.asarray(getattr(params, n), dtype=np.float64).ravel() for n in param_shapes(cfg)]
     )
 
 

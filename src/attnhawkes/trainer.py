@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._forward import SequenceCache, forward
-from .diff import _compensator, _event_term, _gradients_cached, _objective_cached, _sequence_terms
+from .diff import _compensator, _event_term, _gradients_cached, _objective_cached
 from .domain import Dataset, EventSequence, IntegrationGrid, make_grid
 from .errors import Diverged, EmptySplit, NonFinite
 from .model import (
@@ -40,16 +40,15 @@ __all__ = [
 ]
 
 RATE_FLOOR = 1e-4  # empirical rates are floored here before inverting softplus
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization settings.  Defaults follow common Adam practice."""
+    """Optimization settings.  Adam's betas and epsilon are ``ADAM_BETAS`` and ``ADAM_EPS``."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     max_epochs: int = 100
     batch_size: int = 32
     patience: int = 10
@@ -59,10 +58,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be nonnegative")
         if self.batch_size < 1:
@@ -107,7 +102,7 @@ def log_likelihood(
     params: ModelParams, cfg: ModelConfig, seq: EventSequence, grid: IntegrationGrid
 ) -> float:
     """Event term minus compensator for one sequence."""
-    return _sequence_terms(params, cfg, SequenceCache(cfg, seq, grid))[1]
+    return _objective_cached(params, cfg, [SequenceCache(cfg, seq, grid)])[0]
 
 
 def empirical_rates(seqs, num_types: int) -> np.ndarray:
@@ -156,20 +151,20 @@ def _split_tll(params, cfg, caches):
 class _Adam:
     """Plain Adam ascent on a flat parameter vector."""
 
-    def __init__(self, size, cfg: TrainConfig):
+    def __init__(self, size, learning_rate):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
-        self.cfg = cfg
+        self.learning_rate = learning_rate
 
     def step(self, vec, grad):
-        c = self.cfg
+        b1, b2 = ADAM_BETAS
         self.t += 1
-        self.m = c.beta1 * self.m + (1.0 - c.beta1) * grad
-        self.v = c.beta2 * self.v + (1.0 - c.beta2) * grad * grad
-        m_hat = self.m / (1.0 - c.beta1**self.t)
-        v_hat = self.v / (1.0 - c.beta2**self.t)
-        return vec + c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_eps)
+        self.m = b1 * self.m + (1.0 - b1) * grad
+        self.v = b2 * self.v + (1.0 - b2) * grad * grad
+        m_hat = self.m / (1.0 - b1**self.t)
+        v_hat = self.v / (1.0 - b2**self.t)
+        return vec + self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def train(
@@ -213,7 +208,7 @@ def train(
     val_caches = [SequenceCache(cfg, s, make_grid(s, g)) for s in dataset.val]
 
     vec = flatten_params(params, cfg)
-    adam = _Adam(vec.size, train_cfg)
+    adam = _Adam(vec.size, train_cfg.learning_rate)
     best_vec = vec.copy()
     best_tll = -np.inf
     since_best = 0

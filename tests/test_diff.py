@@ -1,10 +1,13 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from attnhawkes import diff
+from attnhawkes._forward import SequenceCache
 from attnhawkes.diff import (
     GradientBundle,
     central_difference,
@@ -13,7 +16,7 @@ from attnhawkes.diff import (
     objective_value,
 )
 from attnhawkes.domain import EventSequence, make_grid
-from attnhawkes.errors import NonFinite, NonFiniteObjective
+from attnhawkes.errors import NonFinite
 from attnhawkes.evaluate import intensity_trace
 from attnhawkes.model import (
     VARIANT_ATTENTION,
@@ -22,7 +25,6 @@ from attnhawkes.model import (
     ModelParams,
     flatten_params,
     intensity_all_types,
-    param_fields,
     param_shapes,
     perturb_param,
     zeros_params,
@@ -159,7 +161,7 @@ class TestGradientBundle:
             present = [
                 f.name for f in dataclasses.fields(ModelParams) if getattr(bundle, f.name) is not None
             ]
-            assert present == list(param_fields(cfg))
+            assert present == list(param_shapes(cfg))
             for name, shape in param_shapes(cfg).items():
                 assert getattr(bundle, name).shape == shape
             assert isinstance(bundle.objective, float)
@@ -239,7 +241,7 @@ class TestStructure:
         params = zeros_params(cfg)
         params.bias[:] = -800.0  # softplus underflows to exactly zero
         seq = EventSequence(times=[1.0], types=[0], horizon=2.0, num_types=1)
-        with pytest.raises(NonFiniteObjective):
+        with pytest.raises(NonFinite):
             objective_value(params, cfg, _batch(cfg, [seq]))
 
     def test_type_pair_underflow_raises(self, rng):
@@ -272,10 +274,6 @@ class TestStructure:
         value = log_likelihood(params, cfg, seq, make_grid(seq, cfg.grid_subdivisions))
         assert value == pytest.approx(-35.18316279987432, rel=1e-12)
 
-    def test_one_non_finite_class(self):
-        # the objective, the gradient and the trainer's terms raise one class
-        assert NonFiniteObjective is NonFinite
-
     def test_perturbation_moves_objective_as_predicted(self, rng):
         cfg = ModelConfig(num_types=2, embed_dim=4)
         params = random_params(cfg, rng)
@@ -285,6 +283,26 @@ class TestStructure:
         shifted = perturb_param(params, "bias", (0,), delta)
         change = objective_value(shifted, cfg, batch) - g.objective
         assert change == pytest.approx(g.bias[0] * delta, rel=1e-4)
+
+    @pytest.mark.parametrize("fn", [objective_value, objective_and_gradients])
+    def test_a_batch_is_held_one_cache_at_a_time(self, rng, monkeypatch, fn):
+        cfg = ModelConfig(num_types=2, embed_dim=4)
+        params = random_params(cfg, rng)
+        batch = _batch(cfg, [random_sequence(rng, n, 2, 8.0) for n in (5, 9, 3)])
+        expected = fn(params, cfg, batch)
+        refs, alive = [], []
+
+        def build(cfg, seq, grid):
+            # how many earlier caches are still alive when the next is built
+            alive.append(sum(ref() is not None for ref in refs))
+            cache = SequenceCache(cfg, seq, grid)
+            refs.append(weakref.ref(cache))
+            return cache
+
+        monkeypatch.setattr(diff, "SequenceCache", build)
+        got = fn(params, cfg, batch)
+        assert alive == [0, 0, 0]
+        assert getattr(got, "objective", got) == getattr(expected, "objective", expected)
 
     def test_long_sequence_gradient_memory_bounded(self, rng):
         # grid attention runs in row blocks, so no (nodes, events) array is

@@ -211,5 +211,5 @@ class TestDataset:
 
 class TestIntegrationGrid:
     def test_basic(self):
-        g = IntegrationGrid(times=[0.0, 1.0], subdivisions=1)
+        g = IntegrationGrid(times=[0.0, 1.0])
         assert len(g) == 2

@@ -229,17 +229,30 @@ class TestModelFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError):
             load_model(path)
-        for mangle in (
-            lambda d: d.update(params=[]),
-            lambda d: d["params"].update(bias=0.5),
-            lambda d: d["params"]["bias"].update(shape=1),
+        for mangle, pattern in (
+            (lambda d: d.update(params=[]), None),
+            (lambda d: d["params"].pop("bias"), "'bias'"),
+            (lambda d: d["params"].update(bias=0.5), "'bias'"),
+            (lambda d: d["params"].update(bias=[0.5]), "'bias'"),
+            (lambda d: d["params"]["bias"].update(shape=1), "'bias'"),
+            (lambda d: d["params"]["bias"].update(shape=[-1]), "'bias'"),
         ):
             save_model(random_params(cfg, rng), cfg, path)
             doc = json.loads(path.read_text())
             mangle(doc)
             path.write_text(json.dumps(doc))
-            with pytest.raises(DataError):
+            with pytest.raises(DataError, match=pattern):
                 load_model(path)
+
+    def test_save_refuses_non_finite_params(self, tmp_path, rng):
+        # a NaN written as the JSON token NaN makes a file load_model refuses
+        cfg = ModelConfig(num_types=1, embed_dim=4)
+        params = random_params(cfg, rng)
+        params.bias[0] = np.nan
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="'bias'"):
+            save_model(params, cfg, path)
+        assert not path.exists()
 
 
 class TestCsvArtifacts:

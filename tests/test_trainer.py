@@ -77,6 +77,15 @@ class TestLikelihoodTerms:
         with pytest.raises(NonFinite):
             event_term(params, cfg, seq)
 
+    def test_log_likelihood_names_the_sequence(self):
+        # the one likelihood loop names its sequence, here the only one
+        cfg = ModelConfig(num_types=1, embed_dim=4)
+        params = zeros_params(cfg)
+        params.bias[:] = -800.0
+        seq = EventSequence(times=[1.0], types=[0], horizon=2.0, num_types=1)
+        with pytest.raises(NonFinite, match="^sequence 0: an event intensity"):
+            log_likelihood(params, cfg, seq, make_grid(seq, 3))
+
 
 class TestSplitTll:
     def split_with_a_bad_sequence(self):
@@ -187,8 +196,6 @@ class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(beta1=1.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
