@@ -1,11 +1,10 @@
 """Vectorized forward and backward passes over one sequence.
 
-Everything here works on a per-sequence basis: the caller batches by
-summing objective values and gradient arrays.  The forward pass produces
-pre-activations for every query node and type, and reads the event
-log-terms out of them; given a cotangent of the node pre-activations, it
-also accumulates what the backward pass turns into parameter gradients.
-Gradients are exact for the discretized objective.
+Everything here, the log-likelihood's event term and compensator included,
+works per sequence: the caller batches by summing objectives and gradients.
+The forward pass produces pre-activations for every query node and type;
+with ``grad`` it also takes the log-likelihood's cotangent of them and
+accumulates what the backward pass turns into exact parameter gradients.
 
 Index conventions: ``L`` events, ``N`` query nodes, ``M`` embedding dim,
 ``K`` types, values of width ``M_V``.  ``h[n]`` is the history size at
@@ -34,7 +33,7 @@ other row (tested as ``den < tiny * norm``), ``NonFinite`` is raised.
 ``W`` is never held whole.  The cache keeps a parameter-free plan of row blocks
 (``model._row_blocks``): each block of B nodes gets its own weights ``W_b`` (B,
 cols), trimmed to the block's largest history, and its rows of ``[num | den |
-norm]``.  When a cotangent is wanted, the same pass calls it on the block's
+norm]``.  With ``grad``, the same pass takes the cotangent of the block's
 pre-activations and adds ``W_b.T @ [q | q * mix]``, with ``q = d_pre / den``,
 into ``r`` (L, 2K), so ``backward`` needs no attention weights and memory stays
 O(B·L + N·K).  The extrapolation variant's event softmax runs in row blocks too
@@ -66,6 +65,7 @@ from .model import (
     _type_pair_weights,
     temporal_embedding,
 )
+from .numerics import dlog_softplus, log_softplus, sigmoid, softplus
 
 __all__ = ["SequenceCache", "Forward", "forward", "backward", "event_pre_all_types"]
 
@@ -93,7 +93,7 @@ class SequenceCache:
         else:
             pts = grid.times
             ev_pos = np.searchsorted(pts, self.times)
-            if length and not np.array_equal(pts[ev_pos], self.times):
+            if not np.array_equal(pts[ev_pos[ev_pos < len(pts)]], self.times):
                 raise ValueError("grid does not contain every event time of the sequence")
             dg = np.diff(pts)
             left_half = np.zeros(len(pts))
@@ -124,9 +124,8 @@ class SequenceCache:
             anchored = self.h > 0
             a = np.maximum(self.h - 1, 0)
             rel = np.zeros(len(g))
-            if length:
-                t_a = self.times[a]
-                rel[anchored] = (g[anchored] - t_a[anchored]) / t_a[anchored]
+            t_a = self.times[a[anchored]]
+            rel[anchored] = (g[anchored] - t_a) / t_a
             self.anchor = a
             self.anchored = anchored
             self.rel_elapsed_gr = rel
@@ -144,16 +143,35 @@ class Forward:
     )
 
 
-def _embed(params: ModelParams, cache: SequenceCache) -> Forward:
-    """Event embeddings, the type Gram matrix and the values."""
-    f = Forward()
-    f.x_ev = np.concatenate([cache.z_ev, params.type_embed[:, cache.types].T], axis=1)  # (L, 2M)
-    f.gram = params.type_embed.T @ params.type_embed  # (K, K)
-    f.values = f.x_ev @ params.value_proj  # (L, M_V)
-    return f
+def _event_term(pre_ev):
+    """Sum of event log-intensities; raises ``NonFinite`` on a zero or non-finite one."""
+    if not np.isfinite(pre_ev).all() or (softplus(pre_ev) == 0.0).any():
+        raise NonFinite("an event intensity is zero or non-finite")
+    return float(np.sum(log_softplus(pre_ev)))
 
 
-def _query_pre(params, cfg, cache, f, cotangent):
+def _compensator(cache, pre_gr):
+    """Trapezoidal integral of the total grid intensity; raises ``NonFinite`` unless finite."""
+    if not np.isfinite(pre_gr).all():
+        raise NonFinite("a grid intensity is non-finite")
+    value = float(cache.quad @ softplus(pre_gr).sum(axis=1))
+    if not np.isfinite(value):
+        raise NonFinite(f"compensator is {value}")
+    return value
+
+
+def _cotangent(cache, lo, hi, pre):
+    """The log-likelihood's cotangent of the pre-activations ``pre`` of node rows
+    ``lo:hi``: ``-quad * sigmoid(pre)``, plus ``dlog_softplus`` at their event rows."""
+    d = -(cache.quad[lo:hi, None] * sigmoid(pre))
+    # ev_node is nondecreasing, so the block's events are one slice
+    a, b = np.searchsorted(cache.ev_node, (lo, hi))
+    rows, types = cache.ev_node[a:b] - lo, cache.types[a:b]
+    np.add.at(d, (rows, types), dlog_softplus(pre[rows, types]))
+    return d
+
+
+def _query_pre(params, cfg, cache, f, grad):
     """Attention-variant pre-activations (N, K) at the query nodes, one row block at a time."""
     m, k_types = cfg.embed_dim, cfg.num_types
     scale = math.sqrt(2.0 * m)
@@ -166,7 +184,7 @@ def _query_pre(params, cfg, cache, f, cotangent):
     pre = np.empty((len(h), k_types))
     if cfg.skip_connection:
         skip = z_q @ params.readout[:, :m].T + (params.type_embed.T * params.readout[:, m:]).sum(1)
-    if cotangent is not None:
+    if grad:
         f.d_pre = np.empty_like(pre)
         f.r = np.zeros((cache.length, 2 * k_types))
     for lo, hi, cols in cache.blocks:
@@ -180,22 +198,21 @@ def _query_pre(params, cfg, cache, f, cotangent):
         pre[lo:hi] = mix + params.bias
         if cfg.skip_connection:
             pre[lo:hi] += skip[lo:hi]
-        if cotangent is not None:
-            d = f.d_pre[lo:hi] = cotangent(lo, hi, pre[lo:hi])
+        if grad:
+            d = f.d_pre[lo:hi] = _cotangent(cache, lo, hi, pre[lo:hi])
             q = d / den
             f.r[:cols] += w_b.T @ np.concatenate([q, q * mix], axis=1)
     return pre
 
 
 def forward(
-    params: ModelParams, cfg: ModelConfig, cache: SequenceCache, cotangent=None
+    params: ModelParams, cfg: ModelConfig, cache: SequenceCache, grad: bool = False
 ) -> Forward:
-    """Forward pass; with ``cotangent``, also what ``backward`` needs.
-
-    ``cotangent(lo, hi, pre)`` returns the objective's cotangent of the node
-    pre-activations ``pre`` of rows ``lo:hi``; it is kept as ``f.d_pre``.
-    """
-    f = _embed(params, cache)
+    """Forward pass; with ``grad``, also the cotangent ``f.d_pre`` and what ``backward`` needs."""
+    f = Forward()
+    f.x_ev = np.concatenate([cache.z_ev, params.type_embed[:, cache.types].T], axis=1)  # (L, 2M)
+    f.gram = params.type_embed.T @ params.type_embed  # (K, K)
+    f.values = f.x_ev @ params.value_proj  # (L, M_V)
     if cfg.variant == VARIANT_EXTRAPOLATION:
         z, c = cache.z_ev, cache.types
         f.attn_out = np.zeros_like(f.values)  # (L, M_V)
@@ -211,10 +228,10 @@ def forward(
             params.extrap_coef[None, :] * cache.rel_elapsed_gr[on, None]
             + hidden_read[cache.anchor[on]]
         )
-        if cotangent is not None:
-            f.d_pre = cotangent(0, len(cache.h), f.pre_gr)
+        if grad:
+            f.d_pre = _cotangent(cache, 0, len(cache.h), f.pre_gr)
     else:
-        f.pre_gr = _query_pre(params, cfg, cache, f, cotangent)
+        f.pre_gr = _query_pre(params, cfg, cache, f, grad)
     f.pre_ev = f.pre_gr[cache.ev_node, cache.types]
     return f
 
@@ -225,7 +242,7 @@ def backward(
     cache: SequenceCache,
     f: Forward,
 ) -> dict[str, np.ndarray]:
-    """Parameter gradients from ``forward(..., cotangent)``, by (L, ·) algebra on its ``r``."""
+    """Parameter gradients from ``forward(..., grad=True)``, by (L, ·) algebra on its ``r``."""
     length, m, k_types = cache.length, cfg.embed_dim, cfg.num_types
     d_pre = f.d_pre
     scale = math.sqrt(2.0 * m)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._forward import SequenceCache, backward, forward
+from ._forward import SequenceCache, _compensator, _event_term, backward, forward
 from .errors import NonFinite
 from .model import (
     ModelConfig,
@@ -21,7 +21,6 @@ from .model import (
     param_shapes,
     unflatten_params,
 )
-from .numerics import dlog_softplus, log_softplus, sigmoid, softplus
 
 __all__ = [
     "GradientBundle",
@@ -42,47 +41,14 @@ class GradientBundle(ModelParams):
         return flatten_params(self, cfg)
 
 
-def _event_term(pre_ev):
-    """Sum of event log-intensities; raises ``NonFinite`` on a zero or non-finite one."""
-    if not np.isfinite(pre_ev).all() or (softplus(pre_ev) == 0.0).any():
-        raise NonFinite("an event intensity is zero or non-finite")
-    return float(np.sum(log_softplus(pre_ev)))
-
-
-def _compensator(cache, pre_gr):
-    """Trapezoidal integral of the total grid intensity; raises ``NonFinite`` unless finite."""
-    if not np.isfinite(pre_gr).all():
-        raise NonFinite("a grid intensity is non-finite")
-    value = float(cache.quad @ softplus(pre_gr).sum(axis=1))
-    if not np.isfinite(value):
-        raise NonFinite(f"compensator is {value}")
-    return value
-
-
-def _cotangent(cache):
-    """The log-likelihood's cotangent of the node pre-activations, by row block:
-    ``-quad * sigmoid(pre)``, plus ``dlog_softplus`` at the block's event rows."""
-
-    def cotangent(lo, hi, pre):
-        d = -(cache.quad[lo:hi, None] * sigmoid(pre))
-        # ev_node is nondecreasing, so the block's events are one slice
-        a, b = np.searchsorted(cache.ev_node, (lo, hi))
-        rows, types = cache.ev_node[a:b] - lo, cache.types[a:b]
-        np.add.at(d, (rows, types), dlog_softplus(pre[rows, types]))
-        return d
-
-    return cotangent
-
-
 def _objective_cached(params, cfg, caches, grads=None):
     """Summed log-likelihood (event term minus compensator) and event count of
     ``caches``, a list or a generator; with ``grads``, each sequence's gradient
     is added into it."""
     total, events, i = 0.0, 0, 0  # not enumerate, which holds a cache while the next is built
     for cache in caches:
-        cotangent = None if grads is None else _cotangent(cache)
         try:
-            fwd = forward(params, cfg, cache, cotangent)
+            fwd = forward(params, cfg, cache, grads is not None)
             total += _event_term(fwd.pre_ev) - _compensator(cache, fwd.pre_gr)
         except NonFinite as err:
             raise NonFinite(f"sequence {i}: {err}") from err
@@ -92,7 +58,7 @@ def _objective_cached(params, cfg, caches, grads=None):
                 grads[name] += g
         i += 1
         # before a generator builds the next, so one cache is held at a time
-        del cache, cotangent, fwd
+        del cache, fwd
     if not np.isfinite(total):
         raise NonFinite(f"objective is {total}")
     return total, events

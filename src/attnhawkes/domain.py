@@ -216,8 +216,6 @@ def make_grid(seq: EventSequence, subdivisions: int) -> IntegrationGrid:
     if g < 1:
         raise ValueError(f"subdivisions must be at least 1, got {g}")
     anchors = np.unique(np.concatenate(([0.0], seq.times, [seq.horizon])))
-    if g == 1 or len(anchors) < 2:
-        return IntegrationGrid(times=anchors)
     lo, hi = anchors[:-1, None], anchors[1:, None]
     steps = np.arange(1, g, dtype=np.float64)[None, :] / g
     interior = (lo + (hi - lo) * steps).ravel()

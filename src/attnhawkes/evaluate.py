@@ -164,11 +164,6 @@ def _source_kernels(params, cfg, seqs, pools, taus) -> np.ndarray:
     for i, entries in by_seq.items():
         seq = seqs[i]
         owner, probes = np.array(entries).T
-        # drop probes with no lag in the window; the lags increase
-        keep = seq.times[probes] + taus[0] <= seq.horizon
-        owner, probes = owner[keep], probes[keep]
-        if not len(probes):
-            continue
         query_times = seq.times[probes][:, None] + taus  # (P, S)
         row_probe, row_lag = np.nonzero(query_times <= seq.horizon)
         # rows in time order, so each block's history ends at its last row's
@@ -177,12 +172,11 @@ def _source_kernels(params, cfg, seqs, pools, taus) -> np.ndarray:
         row_cell = (owner[row_probe] * n_lags + row_lag) * k_types
         qt = query_times[row_probe, row_lag]
         h = np.searchsorted(seq.times, qt, side="left")
-        n_hist = int(h[-1])
         z_q = temporal_embedding(qt, cfg.embed_dim)
-        z_ev = temporal_embedding(seq.times[:n_hist], cfg.embed_dim)
+        z_ev = temporal_embedding(seq.times, cfg.embed_dim)
         z_s = z_ev / scale
-        type_w = _type_pair_weights(gram, seq.types[:n_hist], scale)  # (L, K)
-        rhs = np.concatenate([type_w, np.ones((n_hist, 1))], axis=1)
+        type_w = _type_pair_weights(gram, seq.types, scale)  # (L, K)
+        rhs = np.concatenate([type_w, np.ones((len(seq), 1))], axis=1)
         # a probe event precedes its own queries, so it is in their history
         x_e = np.concatenate([z_ev[probes], params.type_embed[:, seq.types[probes]].T], axis=1)
         value_read = (x_e @ params.value_proj) @ params.readout.T  # (P, K)
@@ -206,7 +200,7 @@ def _source_kernels(params, cfg, seqs, pools, taus) -> np.ndarray:
 def _check_kernel_args(cfg, tau_grid, num_probes) -> np.ndarray:
     """The checks kernel recovery and the heatmap share; returns the lags as an array."""
     if cfg.variant != VARIANT_ATTENTION:
-        raise ValueError("recover_kernel applies to the attention variant")
+        raise ValueError("recover_kernel and influence_heatmap apply to the attention variant")
     if num_probes < 1:
         raise ValueError(f"num_probes must be at least 1, got {num_probes}")
     taus = np.asarray(tau_grid, dtype=np.float64)

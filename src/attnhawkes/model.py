@@ -467,7 +467,7 @@ def _attention_blocks(params, cfg, seq, grid):
     """
     points = grid.times
     event_cols = np.searchsorted(points, seq.times)
-    if len(seq) and not np.array_equal(points[event_cols], seq.times):
+    if not np.array_equal(points[event_cols[event_cols < len(points)]], seq.times):
         raise ValueError("grid does not contain every event time of the sequence")
     is_event = np.zeros(len(points), dtype=bool)
     is_event[event_cols] = True

@@ -337,8 +337,7 @@ def _thin_lockstep(spec, horizon, rngs) -> list[EventSequence]:
     lanes = (_ExponentialLanes if spec.kernel == EXPONENTIAL else _HalfSineLanes)(spec, n)
     hist = _History(n)
     ids = np.arange(n)
-    gens = np.empty(n, dtype=object)
-    gens[:] = rngs
+    gens = np.array(rngs, dtype=object)
     s = np.zeros(n)
     while len(ids):
         bound = lanes.bound(s, hist, ids)
@@ -418,8 +417,7 @@ def thin_simulate(
     raises ``UnboundedIntensity`` unless ``allow_explosive``; see the
     module docstring.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     return _thin_one(spec, _check_draw(spec, horizon, allow_explosive), rng)
 
 

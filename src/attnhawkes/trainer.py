@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._forward import SequenceCache, forward
-from .diff import _compensator, _event_term, _gradients_cached, _objective_cached
+from ._forward import SequenceCache, _compensator, _event_term, forward
+from .diff import _gradients_cached, _objective_cached
 from .domain import Dataset, EventSequence, IntegrationGrid, make_grid
 from .errors import Diverged, EmptySplit, NonFinite
 from .model import (

@@ -105,15 +105,37 @@ class TestSimulate:
         assert json.loads(capsys.readouterr().out)["sequences"] == 2
 
     def test_bad_fractions_exit_2(self, tmp_path, capsys):
+        for split in ("0.9,0.9,0.2", "0.5,x,0.5"):
+            code = run_cli(
+                [
+                    "simulate", "--kernel", "exp", "--params", ONE_TYPE_PARAMS,
+                    "--num-seqs", "2", "--T", "4.0", "--split", split,
+                    "--out", str(tmp_path / "x"),
+                ]
+            )
+            assert code == 2
+            assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ("{oops", "could not read JSON"),
+            ("[1]", "must be a JSON object"),
+            ('{"mu":[1]}', "bad process parameters"),
+        ],
+        ids=["bad-json", "not-an-object", "missing-alpha"],
+    )
+    def test_bad_params_exit_2(self, tmp_path, capsys, params, message):
+        out = tmp_path / "x"
         code = run_cli(
             [
-                "simulate", "--kernel", "exp", "--params", ONE_TYPE_PARAMS,
-                "--num-seqs", "2", "--T", "4.0", "--split", "0.9,0.9,0.2",
-                "--out", str(tmp_path / "x"),
+                "simulate", "--kernel", "exp", "--params", params,
+                "--num-seqs", "2", "--T", "4.0", "--out", str(out),
             ]
         )
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 EXPLOSIVE_PARAMS = '{"mu":[1],"alpha":[[10]],"beta":[[5]]}'
@@ -417,6 +439,26 @@ class TestArtifactCommands:
         ):
             assert run_cli([*argv, "--true-spec", spec, "--out", str(out)]) == 2
             assert "--true-spec has" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_intensity_trace_unknown_true_kernel_exit_2(self, tmp_path, capsys):
+        cfg = ModelConfig(num_types=1, embed_dim=4)
+        seq = EventSequence(times=[1.0, 2.0], types=[0, 0], horizon=4.0, num_types=1)
+        model = tmp_path / "model.json"
+        save_model(init_params(cfg, [seq], 0), cfg, model)
+        data = tmp_path / "data.jsonl"
+        save_sequences([seq], data)
+        out = tmp_path / "trace.csv"
+        code = run_cli(
+            [
+                "intensity-trace", "--model", str(model), "--data", str(data),
+                "--split", "train", "--seq-index", "0",
+                "--true-spec", '{"kernel":"foo","mu":[0.8],"alpha":[[0.5]]}',
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "unknown kernel 'foo'" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -15,7 +15,7 @@ from attnhawkes.diff import (
     objective_and_gradients,
     objective_value,
 )
-from attnhawkes.domain import EventSequence, make_grid
+from attnhawkes.domain import EventSequence, IntegrationGrid, make_grid
 from attnhawkes.errors import NonFinite
 from attnhawkes.evaluate import intensity_trace
 from attnhawkes.model import (
@@ -23,6 +23,7 @@ from attnhawkes.model import (
     VARIANT_EXTRAPOLATION,
     ModelConfig,
     ModelParams,
+    attention_matrix,
     flatten_params,
     intensity_all_types,
     param_shapes,
@@ -30,7 +31,7 @@ from attnhawkes.model import (
     zeros_params,
 )
 from attnhawkes.numerics import sigmoid, softplus
-from attnhawkes.trainer import log_likelihood
+from attnhawkes.trainer import compensator, log_likelihood
 
 from conftest import random_params, random_sequence
 
@@ -348,3 +349,65 @@ class TestCentralDifference:
         assert fine < coarse
         # second-order accuracy: shrinking eps 100x cuts the error ~10^4x
         assert fine < coarse * 1e-3
+
+
+def _pair_objective(params, cfg, seq, grid):
+    return objective_and_gradients(params, cfg, [(seq, grid)])
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [log_likelihood, compensator, _pair_objective, intensity_trace, attention_matrix],
+    ids=lambda fn: fn.__name__,
+)
+def test_a_grid_missing_an_event_time_raises_value_error(rng, fn):
+    # the grid ends before the last event, is empty, or skips an interior event
+    cfg = ModelConfig(num_types=2, embed_dim=4)
+    params = random_params(cfg, rng)
+    seq = EventSequence(times=[0.5, 2.0], types=[0, 1], horizon=3.0, num_types=2)
+    for points in ([0.0, 0.5, 1.0], [], [0.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="grid does not contain every event time"):
+            fn(params, cfg, seq, IntegrationGrid(points))
+
+
+class TestNonFiniteGuards:
+    """Finite parameters whose likelihood or gradient overflows."""
+
+    def test_an_overflowing_compensator_names_its_sequence(self):
+        cfg = ModelConfig(num_types=1, embed_dim=4)
+        params = zeros_params(cfg)
+        params.bias[:] = 1.7e308  # each intensity is finite, their integral over T=2 is not
+        seq = EventSequence(times=[1.0], types=[0], horizon=2.0, num_types=1)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFinite, match="^sequence 0: compensator is inf"):
+                log_likelihood(params, cfg, seq, make_grid(seq, 3))
+            with pytest.raises(NonFinite, match="^sequence 0: compensator is inf"):
+                objective_and_gradients(params, cfg, _batch(cfg, [seq]))
+
+    def test_an_overflowing_grid_intensity_raises(self):
+        # no events, so no event term catches it first: the skip term at t=0
+        # reads z = [0, 1, 0, 1] against a readout of 1e308
+        cfg = ModelConfig(num_types=1, embed_dim=4, skip_connection=True)
+        params = zeros_params(cfg)
+        params.readout[:] = 1e308
+        seq = EventSequence(times=[], types=[], horizon=2.0, num_types=1)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFinite, match="^sequence 0: a grid intensity is non-finite"):
+                log_likelihood(params, cfg, seq, make_grid(seq, 3))
+            with pytest.raises(NonFinite, match="^sequence 0: a grid intensity is non-finite"):
+                objective_and_gradients(params, cfg, _batch(cfg, [seq]))
+
+    def test_an_overflowing_gradient_raises(self):
+        # values near 1e308 read out through 1e-307 give finite intensities,
+        # but the readout's gradient sums values over the events
+        cfg = ModelConfig(num_types=1, embed_dim=2)
+        params = zeros_params(cfg)
+        params.type_embed[:] = 1.0
+        params.value_proj[:] = 5e307
+        params.readout[:] = 1e-307
+        seq = EventSequence(times=[0.5, 1.0, 1.5, 1.8], types=[0] * 4, horizon=2.0, num_types=1)
+        batch = _batch(cfg, [seq])
+        with np.errstate(over="ignore"):
+            assert math.isfinite(objective_value(params, cfg, batch))
+            with pytest.raises(NonFinite, match="^gradient of readout has non-finite entries"):
+                objective_and_gradients(params, cfg, batch)

@@ -172,6 +172,17 @@ class TestRecoverKernel:
         )
         assert est.phi[1] == 0.0  # no probe reaches lag 2 inside the window
 
+    def test_a_probe_with_no_lag_in_the_window_gives_zeros(self, rng):
+        # the only type-0 event is 0.05 before the horizon, short of the first lag
+        cfg = ModelConfig(num_types=2, embed_dim=4)
+        params = random_params(cfg, rng)
+        seq = EventSequence(times=[1.0, 2.5, 4.95], types=[1, 1, 0], horizon=5.0, num_types=2)
+        taus = np.linspace(0.2, 2.0, 10)
+        for target in (0, 1):
+            est = recover_kernel(params, cfg, [seq], 0, target, taus)
+            assert est.num_probes == 1
+            assert np.array_equal(est.phi, np.zeros(10))
+
     def test_probe_pool_subsampling(self, rng):
         cfg = ModelConfig(num_types=1, embed_dim=4)
         params = random_params(cfg, rng)
@@ -258,6 +269,8 @@ class TestRecoverKernel:
         seq = EventSequence(times=[1.0], types=[0], horizon=5.0, num_types=1)
         with pytest.raises(ValueError):
             recover_kernel(params, cfg, [seq], 0, 0, np.array([0.5]))
+        with pytest.raises(ValueError, match="heatmap apply to the attention variant"):
+            influence_heatmap(params, cfg, [seq])
 
 
 def _per_pair_probe_pool(seqs, source, taus, num_probes):

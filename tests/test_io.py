@@ -102,6 +102,24 @@ class TestSequenceFiles:
         with pytest.raises(ValidationError):
             load_sequences(path)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "[1]",
+            '{"T":4.0,"K":"2","events":[]}',
+            '{"T":4.0,"K":1,"events":{}}',
+            '{"T":4.0,"K":1,"events":[1]}',
+            '{"T":4.0,"K":1,"events":[{"t":"1","k":0}]}',
+        ],
+        ids=["not-an-object", "string-K", "events-object", "event-not-object", "string-t"],
+    )
+    def test_rejects_mistyped_records(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(record + "\n")
+        with pytest.raises(ValidationError) as info:
+            load_sequences(path)
+        assert info.value.line == 1
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "seqs.jsonl"
         path.write_text('{"T":4.0,"K":1,"events":[]}\n\n{"T":4.0,"K":1,"events":[]}\n')

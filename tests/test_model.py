@@ -41,6 +41,7 @@ from attnhawkes.model import (
     zeros_params,
 )
 from attnhawkes.numerics import softplus
+from attnhawkes.trainer import log_likelihood
 
 from conftest import random_params, random_sequence
 
@@ -343,6 +344,8 @@ class TestExtrapolationVariant:
         seq = EventSequence(times=[0.0, 4.0], types=[0, 1], horizon=10.0, num_types=2)
         with pytest.raises(DegenerateAnchor):
             ex_intensity_at(params, cfg, seq, 2.0, 0)
+        with pytest.raises(DegenerateAnchor):
+            log_likelihood(params, cfg, seq, make_grid(seq, 3))
 
     def test_linear_in_relative_elapsed_time(self, rng):
         # pre-activation is affine in (t - t_a) / t_a between events

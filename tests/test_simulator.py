@@ -185,6 +185,7 @@ class TestThinSimulate:
         a = thin_simulate(EXP_SPEC, 20.0, np.random.default_rng(7))
         b = thin_simulate(EXP_SPEC, 20.0, np.random.default_rng(7))
         assert a == b
+        assert thin_simulate(EXP_SPEC, 20.0, 7) == a  # a seed draws what its generator draws
 
     def test_poisson_reduction_mean_count(self):
         # with no excitation the process is Poisson(mu * T): mean 4 events
@@ -402,6 +403,22 @@ class TestExplosiveGuards:
             thin_simulate(spec, 2000.0, np.random.default_rng(1))
         with pytest.raises(UnboundedIntensity, match="150 events"):
             simulate_dataset(spec, 2000.0, 8, 2)
+
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            HawkesSpec(mu=[1e308], kernel=EXPONENTIAL, alpha=[[1e308]], beta=[[1.0]]),
+            HawkesSpec(mu=[1e308], kernel=HALF_SINE, alpha=[[1e308]]),
+        ],
+        ids=["exp", "half-sine"],
+    )
+    def test_an_overflowing_bound_raises_in_both_paths(self, spec):
+        with np.errstate(over="ignore"):
+            with pytest.raises(UnboundedIntensity, match="thinning bound is not finite"):
+                thin_simulate(spec, 1.0, 0, allow_explosive=True)
+            with pytest.raises(UnboundedIntensity, match="thinning bound is not finite"):
+                simulate_dataset(spec, 1.0, 3, 0, allow_explosive=True)
 
 
 class _StubGenerator:
