@@ -40,7 +40,9 @@ O(B·L + N·K).  The extrapolation variant's event softmax runs in row blocks to
 (``model._own_type_softmax``), and ``backward`` walks them again.
 
 Only the attention variant's cache holds the node embeddings ``z_gr`` (N, M)
-and the row-block plan ``blocks``.  The extrapolation variant's nodes read the
+and the row-block plan ``blocks``.  With a grid, ``z_gr`` embeds each grid point
+once; its last L rows, the right-limit copies, repeat the event points' rows and
+are the event embeddings ``z_ev``.  The extrapolation variant's nodes read the
 events' attention output, not attention of their own, so its cache holds the
 event arrays, ``h``, ``ev_node``, ``quad`` with a grid, and per node the
 anchor event ``anchor``, whether it has one (``anchored``) and the relative
@@ -53,12 +55,13 @@ import math
 
 import numpy as np
 
-from .domain import EventSequence, IntegrationGrid
+from .domain import EventSequence, IntegrationGrid, validate_sequence
 from .errors import DegenerateAnchor, NonFinite
 from .model import (
     VARIANT_EXTRAPOLATION,
     ModelConfig,
     ModelParams,
+    _embed_into,
     _own_type_softmax,
     _row_blocks,
     _temporal_weights,
@@ -71,15 +74,25 @@ __all__ = ["SequenceCache", "Forward", "forward", "backward", "event_pre_all_typ
 
 
 class SequenceCache:
-    """Parameter-independent arrays for one (sequence, grid) pair."""
+    """Parameter-independent arrays for one (sequence, grid) pair.
 
-    def __init__(self, cfg: ModelConfig, seq: EventSequence, grid: IntegrationGrid | None = None):
+    ``out``, used by the attention variant with a grid only, is a float64 (N, M)
+    array to write the node embeddings into (``trainer.train`` passes views of one
+    arena); without it the cache allocates its own.
+    """
+
+    def __init__(
+        self,
+        cfg: ModelConfig,
+        seq: EventSequence,
+        grid: IntegrationGrid | None = None,
+        out: np.ndarray | None = None,
+    ):
         self.seq = seq
         self.times = seq.times
         self.types = seq.types
         length = len(seq)
         self.length = length
-        self.z_ev = temporal_embedding(self.times, cfg.embed_dim)  # (L, M)
         self.onehot = np.zeros((length, cfg.num_types))
         self.onehot[np.arange(length), self.types] = 1.0
         if cfg.variant == VARIANT_EXTRAPOLATION and length and self.times[0] == 0.0:
@@ -95,6 +108,8 @@ class SequenceCache:
             ev_pos = np.searchsorted(pts, self.times)
             if not np.array_equal(pts[ev_pos[ev_pos < len(pts)]], self.times):
                 raise ValueError("grid does not contain every event time of the sequence")
+            if (np.diff(ev_pos) <= 0).any():
+                validate_sequence(seq)  # times not strictly increasing: name the first
             dg = np.diff(pts)
             left_half = np.zeros(len(pts))
             right_half = np.zeros(len(pts))
@@ -107,20 +122,18 @@ class SequenceCache:
             # and a right-limit copy opens the one after.  Every segment's
             # integrand is then smooth end to end and the trapezoid rule keeps
             # its second-order convergence across event boundaries.
-            g = np.concatenate([pts, pts[is_ev_pt]])
-            self.h = np.concatenate(
-                [
-                    np.searchsorted(self.times, pts, side="left"),
-                    np.searchsorted(self.times, pts[is_ev_pt], side="right"),
-                ]
-            )
+            g = np.concatenate([pts, pts[ev_pos]])
             # an event's left-limit copy is its grid point, whose history is
-            # the events strictly before it
+            # the events strictly before it; its right-limit copy includes it
+            self.h = np.concatenate(
+                [np.searchsorted(self.times, pts, side="left"), np.arange(1, length + 1)]
+            )
             self.ev_node = ev_pos
             self.quad = np.concatenate(
-                [np.where(is_ev_pt, left_half, left_half + right_half), right_half[is_ev_pt]]
+                [np.where(is_ev_pt, left_half, left_half + right_half), right_half[ev_pos]]
             )
         if cfg.variant == VARIANT_EXTRAPOLATION:
+            self.z_ev = temporal_embedding(self.times, cfg.embed_dim)  # (L, M)
             anchored = self.h > 0
             a = np.maximum(self.h - 1, 0)
             rel = np.zeros(len(g))
@@ -129,8 +142,17 @@ class SequenceCache:
             self.anchor = a
             self.anchored = anchored
             self.rel_elapsed_gr = rel
+        elif grid is None:
+            self.z_ev = self.z_gr = temporal_embedding(self.times, cfg.embed_dim)
+            self.blocks = list(_row_blocks(self.h))
         else:
-            self.z_gr = self.z_ev if grid is None else temporal_embedding(g, cfg.embed_dim)
+            # each grid point is embedded once; the right-limit copies, one per
+            # event, are its rows again, and they are the event embeddings
+            n_pts = len(pts)
+            slab = np.empty((n_pts + length, cfg.embed_dim)) if out is None else out
+            _embed_into(pts, slab[:n_pts])
+            slab[n_pts:] = slab[ev_pos]
+            self.z_gr, self.z_ev = slab, slab[n_pts:]  # (N, M), (L, M)
             self.blocks = list(_row_blocks(self.h))
 
 
@@ -164,10 +186,11 @@ def _cotangent(cache, lo, hi, pre):
     """The log-likelihood's cotangent of the pre-activations ``pre`` of node rows
     ``lo:hi``: ``-quad * sigmoid(pre)``, plus ``dlog_softplus`` at their event rows."""
     d = -(cache.quad[lo:hi, None] * sigmoid(pre))
-    # ev_node is nondecreasing, so the block's events are one slice
+    # ev_node is increasing, so the block's events are one slice; each event has
+    # a left-limit node of its own, so no (row, type) pair repeats and += adds each
     a, b = np.searchsorted(cache.ev_node, (lo, hi))
     rows, types = cache.ev_node[a:b] - lo, cache.types[a:b]
-    np.add.at(d, (rows, types), dlog_softplus(pre[rows, types]))
+    d[rows, types] += dlog_softplus(pre[rows, types])
     return d
 
 

@@ -70,8 +70,16 @@ ROW_BLOCK_CELLS = 1 << 16
 def _history_scores(z_q: np.ndarray, z_ev: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Temporal scores ``z_q @ z_ev.T``, ``-inf`` past each row's history count ``h[n]``."""
     block = z_q @ z_ev.T
-    block[np.arange(len(z_ev))[None, :] >= h[:, None]] = -np.inf
+    _mask_past_history(block, h, -np.inf)
     return block
+
+
+def _mask_past_history(block: np.ndarray, h: np.ndarray, fill: float) -> None:
+    """Set ``block[n, j] = fill`` for ``j >= h[n]``.  Every column below the
+    smallest ``h`` is inside every row's history, so only the rest is compared."""
+    cols = block.shape[1]
+    lo = int(h.min(initial=cols))
+    block[:, lo:][np.arange(lo, cols)[None, :] >= h[:, None]] = fill
 
 
 def _temporal_weights(z_q: np.ndarray, z_s: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -86,7 +94,7 @@ def _temporal_weights(z_q: np.ndarray, z_s: np.ndarray, h: np.ndarray) -> np.nda
     """
     w = z_q @ z_s.T
     np.exp(w, out=w)
-    w[np.arange(len(z_s))[None, :] >= h[:, None]] = 0.0
+    _mask_past_history(w, h, 0.0)
     return w
 
 
@@ -266,12 +274,18 @@ def temporal_embedding(t, embed_dim: int) -> np.ndarray:
     if m < 2 or m % 2:
         raise OddDimension(f"embed_dim must be even and >= 2, got {m}")
     t = np.asarray(t, dtype=np.float64)
-    freq = np.power(10000.0, -2.0 * np.arange(m // 2) / m)
-    args = t[..., None] * freq
     out = np.empty(t.shape + (m,), dtype=np.float64)
-    out[..., 0::2] = np.sin(args)
-    out[..., 1::2] = np.cos(args)
+    _embed_into(t, out)
     return out
+
+
+def _embed_into(t: np.ndarray, out: np.ndarray) -> None:
+    """Write ``temporal_embedding(t, out.shape[-1])`` into ``out``, with no temporary
+    beyond the phase array: ``sin`` and ``cos`` write straight into its halves."""
+    m = out.shape[-1]
+    args = t[..., None] * np.power(10000.0, -2.0 * np.arange(m // 2) / m)
+    np.sin(args, out=out[..., 0::2])
+    np.cos(args, out=out[..., 1::2])
 
 
 def type_embedding(params: ModelParams, k: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from .diff import _gradients_cached, _objective_cached
 from .domain import Dataset, EventSequence, IntegrationGrid, make_grid
 from .errors import Diverged, EmptySplit, NonFinite
 from .model import (
+    VARIANT_EXTRAPOLATION,
     ModelConfig,
     ModelParams,
     flatten_params,
@@ -148,6 +149,24 @@ def _split_tll(params, cfg, caches):
     return total / events
 
 
+def _grid_caches(cfg, seqs, subdivisions):
+    """The caches of ``seqs`` on their grids.
+
+    The attention variant's node embeddings live in one arena, each cache's in a
+    view of it.  Only the caches refer to it, so it is freed with the last of
+    them; and an array above the allocator's mmap threshold (at most 32 MB with
+    glibc) is mapped on its own and unmapped when freed, where per-cache arrays
+    would stay in the process heap.
+    """
+    pairs = [(s, make_grid(s, subdivisions)) for s in seqs]
+    if cfg.variant == VARIANT_EXTRAPOLATION:
+        return [SequenceCache(cfg, s, grid) for s, grid in pairs]
+    stops = np.cumsum([len(grid) + len(s) for s, grid in pairs])
+    arena = np.empty((stops[-1], cfg.embed_dim))
+    slabs = np.split(arena, stops[:-1])
+    return [SequenceCache(cfg, s, grid, out) for (s, grid), out in zip(pairs, slabs)]
+
+
 class _Adam:
     """Plain Adam ascent on a flat parameter vector."""
 
@@ -203,9 +222,8 @@ def train(
     if not dataset.val:
         raise EmptySplit("val split is empty but validation drives early stopping")
 
-    g = train_cfg.grid_subdivisions
-    train_caches = [SequenceCache(cfg, s, make_grid(s, g)) for s in dataset.train]
-    val_caches = [SequenceCache(cfg, s, make_grid(s, g)) for s in dataset.val]
+    caches = _grid_caches(cfg, dataset.train + dataset.val, train_cfg.grid_subdivisions)
+    train_caches, val_caches = caches[: len(dataset.train)], caches[len(dataset.train) :]
 
     vec = flatten_params(params, cfg)
     adam = _Adam(vec.size, train_cfg.learning_rate)

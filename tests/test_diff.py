@@ -16,7 +16,7 @@ from attnhawkes.diff import (
     objective_value,
 )
 from attnhawkes.domain import EventSequence, IntegrationGrid, make_grid
-from attnhawkes.errors import NonFinite
+from attnhawkes.errors import DuplicateTimestamp, NonFinite, NonMonotoneTimes
 from attnhawkes.evaluate import intensity_trace
 from attnhawkes.model import (
     VARIANT_ATTENTION,
@@ -368,6 +368,25 @@ def test_a_grid_missing_an_event_time_raises_value_error(rng, fn):
     for points in ([0.0, 0.5, 1.0], [], [0.0, 2.0, 3.0]):
         with pytest.raises(ValueError, match="grid does not contain every event time"):
             fn(params, cfg, seq, IntegrationGrid(points))
+
+
+@pytest.mark.parametrize("variant", [VARIANT_ATTENTION, VARIANT_EXTRAPOLATION])
+@pytest.mark.parametrize(
+    "fn",
+    [log_likelihood, compensator, _pair_objective, intensity_trace],
+    ids=lambda fn: fn.__name__,
+)
+def test_event_times_on_a_grid_must_increase_strictly(rng, fn, variant):
+    # a grid cache gives each event a node and an embedding row of its own
+    cfg = ModelConfig(num_types=2, embed_dim=4, variant=variant)
+    params = random_params(cfg, rng)
+    cases = [([0.5, 1.0, 1.0, 2.0], DuplicateTimestamp), ([0.5, 2.0, 1.0, 2.5], NonMonotoneTimes)]
+    for times, error in cases:
+        seq = EventSequence(times=times, types=[0, 1, 1, 0], horizon=3.0, num_types=2)
+        grid = IntegrationGrid(np.unique(np.concatenate([times, [0.0, 3.0]])))
+        with pytest.raises(error) as err:
+            fn(params, cfg, seq, grid)
+        assert err.value.index == 2
 
 
 class TestNonFiniteGuards:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from attnhawkes import model
+from attnhawkes import _forward, model
 from attnhawkes._forward import SequenceCache
 from attnhawkes.domain import EventSequence, make_grid
 from attnhawkes.errors import (
@@ -91,6 +91,22 @@ class TestTemporalEmbedding:
         expected = np.sum(np.cos((t - s) * freq))
         got = np.dot(temporal_embedding(t, m), temporal_embedding(s, m))
         assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 32])
+    def test_matches_the_two_temporary_formula_bitwise(self, m):
+        def two_temporaries(t):
+            t = np.asarray(t, dtype=np.float64)
+            args = t[..., None] * np.power(10000.0, -2.0 * np.arange(m // 2) / m)
+            out = np.empty(t.shape + (m,))
+            out[..., 0::2] = np.sin(args)
+            out[..., 1::2] = np.cos(args)
+            return out
+
+        times = np.array([0.0, 5e-324, 1e6, 2.0**52])
+        # event_embedding passes a scalar; the caches pass 1-d arrays
+        for t in [*times, times, times.reshape(2, 2)]:
+            got, want = temporal_embedding(t, m), two_temporaries(t)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestEventEmbedding:
@@ -210,6 +226,81 @@ class TestTemporalWeights:
         bound = math.sqrt(m / 8.0)
         assert w[~past].min() >= math.exp(-bound) * (1.0 - 1e-12)
         assert w[~past].max() <= math.exp(bound) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("case", ["zeros", "full", "drop", "one_row", "cache_block"])
+    def test_trimmed_mask_matches_the_full_mask_bitwise(self, case, monkeypatch):
+        # only columns from h.min() on are compared; every column is compared here
+        rng = np.random.default_rng(11)
+        m, cols = 8, 9
+        z_src = temporal_embedding(np.sort(rng.uniform(0.0, 50.0, size=cols)), m)
+        z_q = temporal_embedding(rng.uniform(0.0, 60.0, size=6), m)
+        h = {
+            "zeros": np.zeros(6, dtype=np.int64),
+            "full": np.full(6, cols),
+            # grid rows, then right-limit copies whose history drops back
+            "drop": np.array([5, 7, 9, 6, 7, 8]),
+            "one_row": np.array([4]),
+        }.get(case)
+        if case == "one_row":
+            z_q = z_q[:1]
+        if case == "cache_block":
+            monkeypatch.setattr(model, "ROW_BLOCK_CELLS", 64)
+            seq = random_sequence(rng, 30, 1, 20.0)
+            cache = SequenceCache(ModelConfig(num_types=1, embed_dim=m), seq, make_grid(seq, 3))
+            lo, hi, cols = next(b for b in cache.blocks if 0 < cache.h[b[0] : b[1]].min() < b[2])
+            z_q, z_src, h = cache.z_gr[lo:hi], cache.z_ev[:cols], cache.h[lo:hi]
+
+        def full_mask(block, fill):
+            block[np.arange(block.shape[1])[None, :] >= h[:, None]] = fill
+            return block
+
+        z_s = z_src / math.sqrt(2.0 * m)
+        want = full_mask(np.exp(z_q @ z_s.T), 0.0)
+        assert _temporal_weights(z_q, z_s, h).tobytes() == want.tobytes()
+        want = full_mask(z_q @ z_src.T, -np.inf)
+        assert _history_scores(z_q, z_src, h).tobytes() == want.tobytes()
+
+
+class TestSequenceCacheEmbedding:
+    """Each node time is embedded once, whatever the variant."""
+
+    def embedded_rows(self, monkeypatch, cfg, seq, grid):
+        rows = []
+
+        def counting(t, out):
+            rows.append(np.size(t))
+            return embed_into(t, out)
+
+        embed_into = model._embed_into
+        monkeypatch.setattr(model, "_embed_into", counting)
+        monkeypatch.setattr(_forward, "_embed_into", counting)
+        return SequenceCache(cfg, seq, grid), rows
+
+    def test_the_attention_grid_cache_embeds_its_grid_points_only(self, rng, monkeypatch):
+        seq = random_sequence(rng, 12, 2, 9.0)
+        grid = make_grid(seq, 10)
+        cfg = ModelConfig(num_types=2, embed_dim=6)
+        cache, rows = self.embedded_rows(monkeypatch, cfg, seq, grid)
+        n_pts = len(grid)
+        assert rows == [n_pts] and n_pts == 10 * len(seq) + 11
+        # the right-limit copies are the tail of one slab, and are the event embeddings
+        assert cache.z_gr.shape == (n_pts + len(seq), 6) == (len(cache.h), 6)
+        assert cache.z_ev.base is cache.z_gr
+        assert cache.z_ev.ctypes.data == cache.z_gr[n_pts:].ctypes.data
+        assert cache.z_ev.tobytes() == temporal_embedding(seq.times, 6).tobytes()
+        assert cache.z_gr[:n_pts].tobytes() == temporal_embedding(grid.times, 6).tobytes()
+
+    @pytest.mark.parametrize(
+        "variant, grid", [(VARIANT_EXTRAPOLATION, 10), (VARIANT_ATTENTION, None)]
+    )
+    def test_other_caches_embed_their_events_only(self, rng, monkeypatch, variant, grid):
+        seq = random_sequence(rng, 12, 2, 9.0)
+        cfg = ModelConfig(num_types=2, embed_dim=6, variant=variant)
+        grid = None if grid is None else make_grid(seq, grid)
+        cache, rows = self.embedded_rows(monkeypatch, cfg, seq, grid)
+        assert rows == [len(seq)]
+        assert cache.z_ev.tobytes() == temporal_embedding(seq.times, 6).tobytes()
+        assert not hasattr(cache, "z_gr") or cache.z_gr is cache.z_ev
 
 
 def _brute_intensity(params, cfg, seq, t, k):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+from attnhawkes import trainer
 from attnhawkes._forward import SequenceCache
 from attnhawkes.domain import Dataset, EventSequence, make_grid, split_dataset
 from attnhawkes.errors import Diverged, EmptySplit, NonFinite
@@ -15,6 +17,7 @@ from attnhawkes.model import (
     VARIANT_EXTRAPOLATION,
     ModelConfig,
     flatten_params,
+    temporal_embedding,
     zeros_params,
 )
 from attnhawkes.numerics import softplus, softplus_inv
@@ -263,6 +266,44 @@ class TestTrain:
         # one per-event likelihood serves the validation pass and test_tll
         got = test_tll(params, cfg, ds.val, cfg.grid_subdivisions)
         assert got == report.val_tlls[report.best_epoch]
+
+    def test_caches_share_one_arena_that_is_freed_on_return(self, monkeypatch):
+        ds = self.small_dataset()
+        cfg = ModelConfig(num_types=1, embed_dim=4, grid_subdivisions=4)
+        tc = TrainConfig(
+            learning_rate=1e-2, max_epochs=2, patience=2, batch_size=4, grid_subdivisions=4
+        )
+        arena, shape, seen = [], [], set()
+
+        def inspect(caches):
+            # no cache or array is kept past the call, so only train holds the arena
+            caches = list(caches)
+            for c in caches:
+                if not arena:
+                    arena.append(weakref.ref(c.z_gr.base))
+                    shape.append(c.z_gr.base.shape)
+                assert c.z_gr.base is arena[0]()
+                n_pts = len(c.grid)
+                assert c.z_ev.base is arena[0]()
+                assert c.z_ev.ctypes.data == c.z_gr[n_pts:].ctypes.data
+                assert c.z_ev.tobytes() == temporal_embedding(c.times, cfg.embed_dim).tobytes()
+                seen.add(id(c))
+            return caches
+
+        gradients, split_tll = trainer._gradients_cached, trainer._split_tll
+        monkeypatch.setattr(
+            trainer, "_gradients_cached", lambda p, c, caches: gradients(p, c, inspect(caches))
+        )
+        monkeypatch.setattr(
+            trainer, "_split_tll", lambda p, c, caches: split_tll(p, c, inspect(caches))
+        )
+        train(ds, cfg, tc)
+        seqs = ds.train + ds.val
+        assert len(seen) == len(seqs)
+        rows = sum(len(make_grid(s, 4)) + len(s) for s in seqs)
+        assert shape == [(rows, cfg.embed_dim)]
+        gc.collect()
+        assert arena[0]() is None
 
     def test_refuses_a_grid_other_than_the_model_grid(self):
         # the model is saved with, and evaluated on, the grid of its config
