@@ -182,6 +182,14 @@ def _compensator(cache, pre_gr):
     return value
 
 
+def _type_hits(f, cache):
+    """How many events after the first have their own type's pre-activation
+    largest at their left-limit node, ties going to the lowest type id, and how
+    many events come after the first."""
+    predicted = np.argmax(f.pre_gr[cache.ev_node[1:]], axis=1)
+    return int(np.sum(predicted == cache.types[1:])), max(cache.length - 1, 0)
+
+
 def _cotangent(cache, lo, hi, pre):
     """The log-likelihood's cotangent of the pre-activations ``pre`` of node rows
     ``lo:hi``: ``-quad * sigmoid(pre)``, plus ``dlog_softplus`` at their event rows."""

@@ -19,11 +19,10 @@ from .domain import SPLIT_NAMES, Dataset, make_grid, split_dataset
 from .errors import DataError, NumericalError
 from .evaluate import (
     DEFAULT_NUM_PROBES,
+    _split_metrics,
     influence_heatmap,
     intensity_trace,
     recover_kernel,
-    test_tll,
-    type_accuracy,
 )
 from .io import (
     load_data,
@@ -218,12 +217,7 @@ def _cmd_eval(args) -> int:
     unknown = set(metrics) - {"tll", "acc"}
     if unknown:
         raise UsageError(f"unknown metrics: {sorted(unknown)}")
-    out = {}
-    if "tll" in metrics:
-        out["tll"] = test_tll(params, cfg, seqs, grid)
-    if "acc" in metrics:
-        out["acc"] = type_accuracy(params, cfg, seqs)
-    print(json.dumps(out))
+    print(json.dumps(_split_metrics(params, cfg, seqs, grid, metrics)))
     return 0
 
 

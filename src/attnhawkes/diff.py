@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._forward import SequenceCache, _compensator, _event_term, backward, forward
+from ._forward import SequenceCache, _compensator, _event_term, _type_hits, backward, forward
 from .errors import NonFinite
 from .model import (
     ModelConfig,
@@ -41,10 +41,11 @@ class GradientBundle(ModelParams):
         return flatten_params(self, cfg)
 
 
-def _objective_cached(params, cfg, caches, grads=None):
+def _objective_cached(params, cfg, caches, grads=None, hits=None):
     """Summed log-likelihood (event term minus compensator) and event count of
-    ``caches``, a list or a generator; with ``grads``, each sequence's gradient
-    is added into it."""
+    ``caches``, a list or a generator.  With ``grads``, each sequence's gradient
+    is added into it; with ``hits``, an integer array of two, each sequence's
+    ``_type_hits``."""
     total, events, i = 0.0, 0, 0  # not enumerate, which holds a cache while the next is built
     for cache in caches:
         try:
@@ -53,6 +54,8 @@ def _objective_cached(params, cfg, caches, grads=None):
         except NonFinite as err:
             raise NonFinite(f"sequence {i}: {err}") from err
         events += cache.length
+        if hits is not None:
+            hits += _type_hits(fwd, cache)
         if grads is not None:
             for name, g in backward(params, cfg, cache, fwd).items():
                 grads[name] += g

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._forward import SequenceCache, event_pre_all_types, forward
+from ._forward import SequenceCache, _type_hits, forward
 from .domain import EventSequence, IntegrationGrid, make_grid
 from .errors import EmptySplit, NonFinite, NoSourceEvents
 from .model import (
@@ -87,9 +87,11 @@ class IntensityTrace:
 
 
 def test_tll(params: ModelParams, cfg: ModelConfig, seqs, grid_subdivisions: int) -> float:
-    """Total log-likelihood per event over a split."""
-    caches = (SequenceCache(cfg, s, make_grid(s, grid_subdivisions)) for s in seqs)
-    return _split_tll(params, cfg, caches)
+    """Total log-likelihood per event over a split.
+
+    It reads every node of each sequence's grid cache, built one at a time.
+    """
+    return _split_metrics(params, cfg, seqs, grid_subdivisions, ("tll",))["tll"]
 
 
 def type_accuracy(params: ModelParams, cfg: ModelConfig, seqs) -> float:
@@ -97,20 +99,46 @@ def type_accuracy(params: ModelParams, cfg: ModelConfig, seqs) -> float:
 
     Only events with at least one predecessor count; ties resolve to the
     lowest type id.  With a single type the accuracy is 1 by convention.
+    It reads the nodes of a grid-less cache, one per event.
     """
+    hits = np.zeros(2, dtype=np.int64)
+    if cfg.num_types > 1:
+        for seq in seqs:
+            if len(seq) > 1:
+                cache = SequenceCache(cfg, seq)
+                hits += _type_hits(forward(params, cfg, cache), cache)
+    return _accuracy(cfg, hits)
+
+
+def _accuracy(cfg: ModelConfig, hits: np.ndarray) -> float:
+    """Type accuracy from a split's summed ``_type_hits``."""
     if cfg.num_types == 1:
         return 1.0
-    correct, counted = 0, 0
-    for seq in seqs:
-        if len(seq) < 2:
-            continue
-        pre = event_pre_all_types(params, cfg, SequenceCache(cfg, seq))
-        predicted = np.argmax(pre[1:], axis=1)
-        correct += int(np.sum(predicted == seq.types[1:]))
-        counted += len(seq) - 1
+    correct, counted = hits.tolist()
     if counted == 0:
         raise EmptySplit("no events with a predecessor")
     return correct / counted
+
+
+def _split_metrics(params, cfg, seqs, grid_subdivisions, metrics) -> dict:
+    """``test_tll`` and ``type_accuracy`` of a split, for the names in ``metrics``
+    (``"tll"``, ``"acc"``).
+
+    With ``"tll"`` one walk over the split's grid caches gives both, and accuracy
+    reads each event's left-limit node on the grid.  That node is the same
+    query as the event's node in a grid-less cache, but it sits in other row
+    blocks, so their pre-activations agree to rounding (about 1e-15) and the
+    predicted types can differ only where two types tie to within it.  ``"acc"``
+    alone reads grid-less caches.  Errors come in the order of the separate calls.
+    """
+    if "tll" not in metrics:
+        return {"acc": type_accuracy(params, cfg, seqs)} if "acc" in metrics else {}
+    hits = np.zeros(2, dtype=np.int64) if "acc" in metrics else None
+    caches = (SequenceCache(cfg, s, make_grid(s, grid_subdivisions)) for s in seqs)
+    out = {"tll": _split_tll(params, cfg, caches, hits)}
+    if hits is not None:
+        out["acc"] = _accuracy(cfg, hits)
+    return out
 
 
 def _probe_pools(seqs, sources, taus: np.ndarray, num_probes: int) -> list:

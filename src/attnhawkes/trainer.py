@@ -141,9 +141,10 @@ def init_params(cfg: ModelConfig, train_seqs, seed: int) -> ModelParams:
     return ModelParams(**values)
 
 
-def _split_tll(params, cfg, caches):
-    """Total log-likelihood per event over the caches of a split, a list or a generator."""
-    total, events = _objective_cached(params, cfg, caches)
+def _split_tll(params, cfg, caches, hits=None):
+    """Total log-likelihood per event over the caches of a split, a list or a
+    generator; with ``hits``, their ``_type_hits`` are added into it."""
+    total, events = _objective_cached(params, cfg, caches, hits=hits)
     if events == 0:
         raise EmptySplit("split has no events")
     return total / events

@@ -705,3 +705,107 @@ class TestStatsAndErrors:
         )
         assert done.returncode == 0, done.stderr
         assert "heatmap" in done.stdout
+
+
+class TestEvalOnePass:
+    """``eval --metrics tll,acc`` reads both metrics from one walk over the grid caches."""
+
+    EXP_PARAMS = '{"mu":[0.4,0.3],"alpha":[[0.5,0.3],[0.2,0.5]],"beta":[[2,2],[2,2]]}'
+    # eight half-sine groups, each exciting itself and the next one round a ring
+    RING_PARAMS = json.dumps(
+        {
+            "mu": [0.3] * 8,
+            "alpha": [[0.2 if i == j else 0.1 if i == (j + 1) % 8 else 0.0 for j in range(8)]
+                      for i in range(8)],
+        }
+    )
+
+    def fitted(self, tmp_path, kernel, params, extra=()):
+        data = tmp_path / "data"
+        assert run_cli(
+            [
+                "simulate", "--kernel", kernel, "--params", params, "--num-seqs", "16",
+                "--T", "10", "--seed", "3", "--split", "0.5,0.25,0.25", "--out", str(data),
+            ]
+        ) == 0
+        model = tmp_path / "model.json"
+        assert run_cli(
+            [
+                "train", "--data", str(data), "--M", "4", "--grid", "3", "--lr", "0.1",
+                "--epochs", "2", "--batch-size", "4", "--out", str(model), *extra,
+            ]
+        ) == 0
+        return data, model
+
+    def eval_json(self, capsys, model, data, metrics):
+        capsys.readouterr()
+        assert run_cli(["eval", "--model", str(model), "--data", str(data), "--metrics", metrics]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize(
+        "kernel, params, extra",
+        [("exp", EXP_PARAMS, ()), ("half-sine", RING_PARAMS, ("--skip-connection",))],
+        ids=["exp-K2", "ring-K8-skip"],
+    )
+    def test_metrics_equal_the_separate_calls(self, tmp_path, capsys, kernel, params, extra):
+        from attnhawkes._forward import SequenceCache, event_pre_all_types
+        from attnhawkes.evaluate import test_tll as split_tll
+        from attnhawkes.evaluate import type_accuracy
+        from attnhawkes.io import load_split
+
+        data, model = self.fitted(tmp_path, kernel, params, extra)
+        params_, cfg = load_model(model)
+        seqs = load_split(data, "test")
+        # the predicted type varies, so a pass reading the wrong nodes would show
+        pre = [event_pre_all_types(params_, cfg, SequenceCache(cfg, s))[1:] for s in seqs]
+        assert len(set(np.argmax(np.concatenate(pre), axis=1))) > 1
+        tll = split_tll(params_, cfg, seqs, cfg.grid_subdivisions)
+        acc = type_accuracy(params_, cfg, seqs)
+        assert 0.0 < acc < 1.0
+        assert self.eval_json(capsys, model, data, "tll,acc") == {"tll": tll, "acc": acc}
+        assert self.eval_json(capsys, model, data, "acc,tll") == {"tll": tll, "acc": acc}
+        assert self.eval_json(capsys, model, data, "tll") == {"tll": tll}
+        assert self.eval_json(capsys, model, data, "acc") == {"acc": acc}
+
+    def test_one_cache_per_test_sequence(self, tmp_path, capsys, monkeypatch):
+        from attnhawkes import _forward
+        from attnhawkes.io import load_split
+
+        data, model = self.fitted(tmp_path, "exp", self.EXP_PARAMS)
+        seqs = load_split(data, "test")
+        assert all(len(s) > 1 for s in seqs)
+        built = []
+        init = _forward.SequenceCache.__init__
+
+        def counting(self, cfg, seq, grid=None, out=None):
+            built.append(grid is not None)
+            init(self, cfg, seq, grid, out)
+
+        monkeypatch.setattr(_forward.SequenceCache, "__init__", counting)
+        self.eval_json(capsys, model, data, "tll,acc")
+        assert built == [True] * len(seqs)
+        built.clear()
+        self.eval_json(capsys, model, data, "acc")
+        assert built == [False] * len(seqs)
+
+    def test_errors_come_in_the_order_of_the_separate_calls(self, tmp_path, capsys):
+        cfg = ModelConfig(num_types=2, embed_dim=4, grid_subdivisions=3)
+        model = tmp_path / "model.json"
+        save_model(random_params(cfg, np.random.default_rng(0)), cfg, model)
+        lone = [EventSequence([1.0 + i], [i % 2], horizon=5.0, num_types=2) for i in range(3)]
+        empty = [EventSequence([], [], horizon=5.0, num_types=2)] * 2
+        for name, test, metrics, message in (
+            ("lone", lone, "tll,acc", "no events with a predecessor"),
+            ("lone", lone, "acc", "no events with a predecessor"),
+            ("empty", empty, "tll,acc", "split has no events"),
+            ("empty", empty, "acc", "no events with a predecessor"),
+        ):
+            data = tmp_path / name
+            save_dataset(Dataset(train=tuple(lone), val=tuple(lone), test=tuple(test), num_types=2), data)
+            argv = ["eval", "--model", str(model), "--data", str(data), "--metrics", metrics]
+            assert run_cli(argv) == 2, (name, metrics)
+            assert capsys.readouterr().err == f"data error: {message}\n", (name, metrics)
+        # the tll of one-event sequences is reported alone
+        assert run_cli(["eval", "--model", str(model), "--data", str(tmp_path / "lone"),
+                        "--metrics", "tll"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"tll"}

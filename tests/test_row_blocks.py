@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attnhawkes import model
-from attnhawkes._forward import SequenceCache, event_pre_all_types
+from attnhawkes._forward import SequenceCache, event_pre_all_types, forward
 from attnhawkes.diff import objective_and_gradients
 from attnhawkes.domain import EventSequence, make_grid
 from attnhawkes.errors import NonFinite
@@ -294,3 +294,34 @@ def test_guard_raises_exactly_when_normalized_den_underflows():
             assert raised == underflows, (a, source)
     # both sides of the boundary are reached on both paths
     assert seen == {(path, u) for path in ("grid", "probe") for u in (False, True)}
+
+
+@pytest.mark.parametrize("cells", [*BUDGETS, model.ROW_BLOCK_CELLS])
+@pytest.mark.parametrize("num_types", [1, 4])
+@pytest.mark.parametrize("skip", [False, True])
+def test_grid_left_limit_rows_match_the_event_cache(cells, num_types, skip):
+    # eval's one pass reads type accuracy from the grid's left-limit nodes, which
+    # sit in other row blocks than a grid-less cache's event nodes
+    rng = np.random.default_rng(num_types + 8 * skip)
+    horizon = 5.0
+    inner = np.sort(rng.uniform(0.5, 4.5, size=12))
+    cases = {
+        "ends": np.concatenate([[0.0], inner, [horizon]]),
+        "single": np.array([2.0]),
+        "near": np.sort(np.concatenate([inner, [inner[5] + 1e-9, horizon - 1e-9, horizon]])),
+    }
+    for embed_scale in (1.0, 12.0):
+        cfg = ModelConfig(
+            num_types=num_types, embed_dim=4, grid_subdivisions=3, skip_connection=skip
+        )
+        params = random_params(cfg, rng)
+        params.type_embed[:] *= embed_scale
+        for times in cases.values():
+            types = rng.integers(0, num_types, size=len(times))
+            seq = EventSequence(times=times, types=types, horizon=horizon, num_types=num_types)
+            rows = []
+            with _budget(cells):
+                for grid in (make_grid(seq, 3), None):
+                    cache = SequenceCache(cfg, seq, grid)
+                    rows.append(forward(params, cfg, cache).pre_gr[cache.ev_node])
+            _assert_close(*rows, rel=1e-13)
