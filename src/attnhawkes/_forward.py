@@ -18,22 +18,16 @@ the event pre-activations are ``pre_gr[ev_node, types]`` and the event
 term's cotangent is added into those entries of the single (N, K) node
 cotangent.
 
-All query types share one set of temporal weights ``W`` (N, L), ``W[n, j] =
-exp(z_n . z_j / s)`` for ``j < h[n]`` and 0 past the history, with ``s =
-sqrt(2M)``.  It is reweighted per source event by the type-pair term ``type_w[j,
-k] = exp((gram[k, c_j] - max_c gram[k, c]) / s)`` (L, K): ``mix = num / den``,
-``[num | den | norm] = W @ [type_w * value_read | type_w | 1]``.  A softmax
-would divide each row of ``W`` by its sum ``norm``, which cancels in ``mix``
-and in the gradient; and ``|z_n . z_j| <= M/2`` keeps every temporal score
-within ``+-sqrt(M/8)``, so ``W`` needs neither the normalizer nor a max shift
-(``model._temporal_weights``).  ``den`` and ``norm`` are zero on empty-history
-rows, where ``mix`` is zero; if the normalized ``den / norm`` underflows on any
-other row (tested as ``den < tiny * norm``), ``NonFinite`` is raised.
+All query types share one set of temporal weights ``W`` (N, L), reweighted per
+source event by the type-pair weights ``type_w`` (L, K), in the factored form
+that ``model._factored_blocks`` derives: ``mix = num / den``, with ``[num | den |
+norm] = W @ [type_w * value_read | type_w | 1]``.  ``mix`` is zero on rows with
+no history, and an underflowing ``den / norm`` raises ``NonFinite``.
 
 ``W`` is never held whole.  The cache keeps a parameter-free plan of row blocks
 (``model._row_blocks``): each block of B nodes gets its own weights ``W_b`` (B,
-cols), trimmed to the block's largest history, and its rows of ``[num | den |
-norm]``.  With ``grad``, the same pass takes the cotangent of the block's
+cols), trimmed to the block's largest history, and its rows of ``num`` and
+``den``.  With ``grad``, the same pass takes the cotangent of the block's
 pre-activations and adds ``W_b.T @ [q | q * mix]``, with ``q = d_pre / den``,
 into ``r`` (L, 2K), so ``backward`` needs no attention weights and memory stays
 O(B·L + N·K).  The extrapolation variant's event softmax runs in row blocks too
@@ -62,9 +56,9 @@ from .model import (
     ModelConfig,
     ModelParams,
     _embed_into,
+    _factored_blocks,
     _own_type_softmax,
     _row_blocks,
-    _temporal_weights,
     _type_pair_weights,
     temporal_embedding,
 )
@@ -205,26 +199,17 @@ def _cotangent(cache, lo, hi, pre):
 def _query_pre(params, cfg, cache, f, grad):
     """Attention-variant pre-activations (N, K) at the query nodes, one row block at a time."""
     m, k_types = cfg.embed_dim, cfg.num_types
-    scale = math.sqrt(2.0 * m)
-    z_q, h = cache.z_gr, cache.h
-    z_s = cache.z_ev / scale
-    f.type_w = _type_pair_weights(f.gram, cache.types, scale)  # (L, K)
+    f.type_w = _type_pair_weights(f.gram, cache.types, math.sqrt(2.0 * m))  # (L, K)
     f.value_read = f.values @ params.readout.T  # (L, K)
-    ones = np.ones((cache.length, 1))
-    rhs = np.concatenate([f.type_w * f.value_read, f.type_w, ones], axis=1)  # (L, 2K + 1)
-    pre = np.empty((len(h), k_types))
+    pre = np.empty((len(cache.h), k_types))
     if cfg.skip_connection:
-        skip = z_q @ params.readout[:, :m].T + (params.type_embed.T * params.readout[:, m:]).sum(1)
+        skip = cache.z_gr @ params.readout[:, :m].T + (params.type_embed.T * params.readout[:, m:]).sum(1)
     if grad:
         f.d_pre = np.empty_like(pre)
         f.r = np.zeros((cache.length, 2 * k_types))
-    for lo, hi, cols in cache.blocks:
-        w_b = _temporal_weights(z_q[lo:hi], z_s[:cols], h[lo:hi])
-        num, den, norm = np.split(w_b @ rhs[:cols], [k_types, 2 * k_types], axis=1)
-        # den / norm below tiny; rows without history have den = norm = 0 and pass
-        if (den < np.finfo(float).tiny * norm).any():
-            raise NonFinite("type-pair attention weights underflow for a query with history")
-        den = np.where(den > 0.0, den, 1.0)
+    for lo, hi, cols, w_b, num, den in _factored_blocks(
+        cache.z_gr, cache.h, cache.z_ev, f.type_w, f.type_w * f.value_read, cache.blocks
+    ):
         mix = num / den
         pre[lo:hi] = mix + params.bias
         if cfg.skip_connection:

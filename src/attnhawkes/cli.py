@@ -289,6 +289,15 @@ def _add_data_opts(p, with_split=True):
         p.add_argument("--split", default="test", choices=SPLIT_NAMES)
 
 
+def _add_model_cmd(sub, name, func, help):
+    """Subcommand ``name``, run by ``func``, that reads ``--model`` and a data split."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--model", required=True)
+    _add_data_opts(p)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="attnhawkes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -329,49 +338,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", default=None, help="JSONL training-log path")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="held-out metrics for a trained model")
-    p.add_argument("--model", required=True)
-    _add_data_opts(p)
+    p = _add_model_cmd(sub, "eval", _cmd_eval, "held-out metrics for a trained model")
     p.add_argument("--metrics", default="tll,acc", help="comma list from {tll,acc}")
     p.add_argument("--grid", type=int, default=None)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("recover-kernel", help="recovered trigger kernel as CSV")
-    p.add_argument("--model", required=True)
-    _add_data_opts(p)
+    p = _add_model_cmd(sub, "recover-kernel", _cmd_recover_kernel, "recovered trigger kernel as CSV")
     p.add_argument("--source", type=int, required=True)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--tau-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=20)
     p.add_argument("--num-probes", type=int, default=DEFAULT_NUM_PROBES)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_recover_kernel)
 
-    p = sub.add_parser("heatmap", help="integrated influence heatmap as CSV")
-    p.add_argument("--model", required=True)
-    _add_data_opts(p)
+    p = _add_model_cmd(sub, "heatmap", _cmd_heatmap, "integrated influence heatmap as CSV")
     p.add_argument("--tau-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=20)
     p.add_argument("--num-probes", type=int, default=DEFAULT_NUM_PROBES)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_heatmap)
 
-    p = sub.add_parser("attention-map", help="dense attention matrix as CSV")
-    p.add_argument("--model", required=True)
-    _add_data_opts(p)
+    p = _add_model_cmd(sub, "attention-map", _cmd_attention_map, "dense attention matrix as CSV")
     p.add_argument("--seq-index", type=int, required=True)
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_attention_map)
 
-    p = sub.add_parser("intensity-trace", help="model intensity trace as CSV")
-    p.add_argument("--model", required=True)
-    _add_data_opts(p)
+    p = _add_model_cmd(sub, "intensity-trace", _cmd_intensity_trace, "model intensity trace as CSV")
     p.add_argument("--seq-index", type=int, required=True)
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--true-spec", default=None, help="overlay true intensities: JSON with kernel, mu, alpha[, beta]")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_intensity_trace)
 
     p = sub.add_parser("stats", help="dataset summary statistics as JSON")
     _add_data_opts(p, with_split=False)

@@ -11,14 +11,12 @@ of every source type serves every (source, target) pair: the heatmap makes
 one pass, and ``recover_kernel`` makes it with one pool.  The pass embeds each
 probed sequence once and stacks the in-window lag queries of all its probes,
 whatever their source type, in time order, into the row blocks of
-``model._row_blocks``, the plan grid attention uses.  Each block gets one set
-of unnormalized temporal weights ``w`` (``model._temporal_weights``) and one
-product ``[den | norm] = w @ [type_w | 1]`` with the (L, K) type-pair
-reweighting of ``_forward._query_pre``; the contribution of probe event ``e``
-to a target-``k`` query is ``w[:, e] * type_w[e, k] / den[:, k] *
-value_read[e, k]``, a ratio in which the softmax normalizer cancels.  Sums
-accumulate by (source pool, lag, target).  As in training, a normalized
-``den / norm`` that underflows raises ``NonFinite``.
+``model._row_blocks``.  It runs the grid pass's attention kernel,
+``model._factored_blocks``, with no leading columns: each block gives temporal
+weights ``w`` and type-pair denominators ``den``, and the contribution of probe
+event ``e`` to a target-``k`` query is ``w[:, e] * type_w[e, k] / den[:, k] *
+value_read[e, k]``.  Sums accumulate by (source pool, lag, target).  As in
+training, a normalized ``den / norm`` that underflows raises ``NonFinite``.
 """
 
 from __future__ import annotations
@@ -30,13 +28,13 @@ import numpy as np
 
 from ._forward import SequenceCache, _type_hits, forward
 from .domain import EventSequence, IntegrationGrid, make_grid
-from .errors import EmptySplit, NonFinite, NoSourceEvents
+from .errors import EmptySplit, NoSourceEvents
 from .model import (
     VARIANT_ATTENTION,
     ModelConfig,
     ModelParams,
+    _factored_blocks,
     _row_blocks,
-    _temporal_weights,
     _type_pair_weights,
     temporal_embedding,
 )
@@ -202,18 +200,13 @@ def _source_kernels(params, cfg, seqs, pools, taus) -> np.ndarray:
         h = np.searchsorted(seq.times, qt, side="left")
         z_q = temporal_embedding(qt, cfg.embed_dim)
         z_ev = temporal_embedding(seq.times, cfg.embed_dim)
-        z_s = z_ev / scale
         type_w = _type_pair_weights(gram, seq.types, scale)  # (L, K)
-        rhs = np.concatenate([type_w, np.ones((len(seq), 1))], axis=1)
         # a probe event precedes its own queries, so it is in their history
         x_e = np.concatenate([z_ev[probes], params.type_embed[:, seq.types[probes]].T], axis=1)
         value_read = (x_e @ params.value_proj) @ params.readout.T  # (P, K)
-        for lo, hi, cols in _row_blocks(h):
-            w = _temporal_weights(z_q[lo:hi], z_s[:cols], h[lo:hi])
-            den, norm = np.split(w @ rhs[:cols], [k_types], axis=1)
-            # every probe query has its probe event in its history, so norm > 0
-            if (den < np.finfo(float).tiny * norm).any():
-                raise NonFinite("type-pair attention weights underflow for a probe query")
+        for lo, hi, _, w, _, den in _factored_blocks(
+            z_q, h, z_ev, type_w, type_w[:, :0], _row_blocks(h)
+        ):
             e_q = probes[row_probe[lo:hi]]
             w_e = w[np.arange(hi - lo), e_q][:, None] * type_w[e_q]
             contrib = w_e / den * value_read[row_probe[lo:hi]]
@@ -262,8 +255,10 @@ def recover_kernel(
     averages over the probes still in the window.  ``source`` and ``target``
     must be type ids in ``[0, K)``, ``tau_grid`` finite, strictly increasing
     positive lags, and ``num_probes`` at least 1.  The source's probes are
-    evaluated for every target at once, so ``NonFinite`` is raised when the
-    type-pair weights underflow for a probe query of any target type.
+    evaluated for every target at once, so ``NonFinite`` ("type-pair attention
+    weights underflow for a query with history", the grid pass's message) is
+    raised when the type-pair weights underflow for a probe query of any target
+    type.
     """
     taus = _check_kernel_args(cfg, tau_grid, num_probes)
     for role, k in (("source", source), ("target", target)):

@@ -24,6 +24,7 @@ from .domain import EventSequence, IntegrationGrid
 from .errors import (
     DegenerateAnchor,
     NonCausalHistory,
+    NonFinite,
     NoPriorEvent,
     OddDimension,
     OutOfWindow,
@@ -85,17 +86,39 @@ def _mask_past_history(block: np.ndarray, h: np.ndarray, fill: float) -> None:
 def _temporal_weights(z_q: np.ndarray, z_s: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Unnormalized temporal weights ``exp(z_q @ z_s.T)``, zero past each row's history count ``h[n]``.
 
-    ``z_s`` holds the source embeddings already divided by ``sqrt(2M)``.  Each
-    embedding has squared norm M/2, so ``|z_q . z_j| <= M/2`` and every scaled
-    score lies within ``+-sqrt(M/8)`` (2 at M=32): the ``exp`` needs no max
-    shift, and it would overflow only for M > 4e6.  The mask is applied after the
-    ``exp``, so no ``-inf`` is exponentiated.  No row normalizer is taken, since
-    it cancels in every ratio the callers form.
+    ``z_s`` holds the source embeddings already divided by ``sqrt(2M)``; why the
+    ``exp`` needs no max shift and no row normalizer is in ``_factored_blocks``.
+    The mask is applied after the ``exp``, so no ``-inf`` is exponentiated.
     """
     w = z_q @ z_s.T
     np.exp(w, out=w)
     _mask_past_history(w, h, 0.0)
     return w
+
+
+def _factored_blocks(z_q, h, z_ev, type_w, lead, blocks):
+    """Row blocks ``(lo, hi, cols, w, head, den)`` of the type-pair-factored attention.
+
+    Query ``n`` of type ``k`` scores event ``j`` by ``(z_n . z_j + gram[k, c_j]) / s``,
+    ``s = sqrt(2M)``, so its weights factor into ``w[n, j] = exp(z_n . z_j / s)``,
+    shared by all types, times ``type_w[j, k] = exp((gram[k, c_j] - max_c gram[k, c]) / s)``.
+    Squared norms of M/2 give ``|z_n . z_j| <= M/2``, so every temporal score lies within
+    ``+-sqrt(M/8)`` (2 at M=32) and ``w`` needs no max shift (its ``exp`` would overflow
+    only for M > 4e6); nor its row normalizer ``norm``, which cancels in every ratio over
+    ``den``.  ``w`` holds rows ``lo:hi`` over the first ``cols`` events, and ``[head |
+    den | norm] = w @ [lead | type_w | 1]``, where ``lead`` (L, ·) may have no columns.
+    ``den`` is 1 on rows with no history, where ``den = norm = 0``; on any other row,
+    ``den < tiny * norm`` (an underflowing ``den / norm``) raises ``NonFinite``.
+    """
+    n_lead = lead.shape[1]
+    z_s = z_ev / math.sqrt(2.0 * z_q.shape[1])
+    rhs = np.concatenate([lead, type_w, np.ones((len(z_ev), 1))], axis=1)
+    for lo, hi, cols in blocks:
+        w = _temporal_weights(z_q[lo:hi], z_s[:cols], h[lo:hi])
+        head, den, norm = np.split(w @ rhs[:cols], [n_lead, n_lead + type_w.shape[1]], axis=1)
+        if (den < np.finfo(float).tiny * norm).any():
+            raise NonFinite("type-pair attention weights underflow for a query with history")
+        yield lo, hi, cols, w, head, np.where(den > 0.0, den, 1.0)
 
 
 def _row_blocks(h: np.ndarray):

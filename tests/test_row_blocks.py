@@ -296,6 +296,20 @@ def test_guard_raises_exactly_when_normalized_den_underflows():
     assert seen == {(path, u) for path in ("grid", "probe") for u in (False, True)}
 
 
+def test_grid_and_probe_passes_raise_one_underflow_message():
+    # the input of test_type_pair_underflow_raises at +-20: one guard serves the
+    # grid pass and the probe pass, so both raise the same text
+    cfg = ModelConfig(num_types=2, embed_dim=4)
+    seq = EventSequence(times=[1.0, 2.0, 3.0], types=[1, 0, 0], horizon=4.0, num_types=2)
+    params = random_params(cfg, np.random.default_rng(1234))
+    params.type_embed[:] = [20.0, -20.0]
+    with pytest.raises(NonFinite) as grid_err:
+        log_likelihood(params, cfg, seq, make_grid(seq, cfg.grid_subdivisions))
+    with pytest.raises(NonFinite) as probe_err:
+        recover_kernel(params, cfg, [seq], 1, 0, np.linspace(0.05, 1.0, 20))
+    assert str(grid_err.value).removeprefix("sequence 0: ") == str(probe_err.value)
+
+
 @pytest.mark.parametrize("cells", [*BUDGETS, model.ROW_BLOCK_CELLS])
 @pytest.mark.parametrize("num_types", [1, 4])
 @pytest.mark.parametrize("skip", [False, True])
