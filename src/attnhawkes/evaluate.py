@@ -174,8 +174,10 @@ def _source_kernels(params, cfg, seqs, pools, taus) -> np.ndarray:
 
     The probes of every pool are grouped by sequence, so each sequence is
     embedded once and all its probes' lag queries share one row-block pass.
-    Lags past a probe's window, and contributions that are not finite, are
-    left out of that lag's average, as one probe at a time would leave them.
+    Lags past a probe's window, lags too small to move a probe's time (so
+    the probe would fall out of its own query's history), and contributions
+    that are not finite, are left out of that lag's average, as one probe at
+    a time would leave them.
     """
     scale = math.sqrt(2.0 * cfg.embed_dim)
     gram = params.type_embed.T @ params.type_embed
@@ -190,8 +192,9 @@ def _source_kernels(params, cfg, seqs, pools, taus) -> np.ndarray:
     for i, entries in by_seq.items():
         seq = seqs[i]
         owner, probes = np.array(entries).T
-        query_times = seq.times[probes][:, None] + taus  # (P, S)
-        row_probe, row_lag = np.nonzero(query_times <= seq.horizon)
+        probe_times = seq.times[probes][:, None]
+        query_times = probe_times + taus  # (P, S)
+        row_probe, row_lag = np.nonzero((query_times <= seq.horizon) & (query_times > probe_times))
         # rows in time order, so each block's history ends at its last row's
         order = np.argsort(query_times[row_probe, row_lag], kind="stable")
         row_probe, row_lag = row_probe[order], row_lag[order]

@@ -313,6 +313,19 @@ class TestArtifactCommands:
         assert lines[1] == "tau,phi_hat"
         assert len(lines) == 7
 
+    def test_recover_kernel_lag_below_half_an_ulp_exit_0(self, tmp_path, trained):
+        data, model = trained
+        out = tmp_path / "kernel.csv"
+        code = run_cli(
+            [
+                "recover-kernel", "--model", str(model), "--data", str(data),
+                "--split", "train", "--source", "0", "--target", "0",
+                "--tau-max", "1e-20", "--steps", "1", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert out.read_text().splitlines()[2].split(",")[1] == "0.0"
+
     def test_recover_kernel_bad_type_exit_2(self, tmp_path, capsys, trained):
         data, model = trained
         for target in ("5", "-1"):

@@ -183,6 +183,23 @@ class TestRecoverKernel:
             assert est.num_probes == 1
             assert np.array_equal(est.phi, np.zeros(10))
 
+    def test_lags_below_half_an_ulp_of_the_probe_time_are_left_out(self, rng):
+        # 1.0 + 1e-20 == 1.0, so the probe would not precede its own query
+        cfg = ModelConfig(num_types=1, embed_dim=8)
+        params = random_params(cfg, rng)
+        seq = EventSequence(times=[1.0], types=[0], horizon=4.0, num_types=1)
+        est = recover_kernel(params, cfg, [seq], 0, 0, [1e-20])
+        assert np.array_equal(est.phi, [0.0])
+        both = recover_kernel(params, cfg, [seq], 0, 0, [1e-20, 0.5])
+        alone = recover_kernel(params, cfg, [seq], 0, 0, [0.5])
+        assert both.phi[0] == 0.0
+        assert both.phi[1] == alone.phi[0]
+        assert both.phi[1] == pytest.approx(
+            trigger_contribution(params, cfg, seq, 0, 1.5, 0), rel=1e-12
+        )
+        heat = influence_heatmap(params, cfg, [seq], tau_max=1e-20, steps=1)
+        assert np.array_equal(heat.integrals, [[0.0]])
+
     def test_probe_pool_subsampling(self, rng):
         cfg = ModelConfig(num_types=1, embed_dim=4)
         params = random_params(cfg, rng)

@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from attnhawkes.model import (
     VARIANT_EXTRAPOLATION,
     ModelConfig,
     ModelParams,
+    _attention_blocks,
     _history_scores,
     _softmax_rows,
     _temporal_weights,
@@ -485,6 +491,44 @@ class TestExtrapolationVariant:
         )
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# A 400-event map at G=10; RSS in MiB from /proc/self/statm before the call,
+# after it, after reading every row as the benchmark's structure check does,
+# and after the map is freed.
+RESIDENT_PROGRAM = """
+import gc, json, os
+import numpy as np
+from attnhawkes.domain import EventSequence, make_grid
+from attnhawkes.model import ModelConfig, ModelParams, attention_matrix, param_shapes
+
+def rss():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+rng = np.random.default_rng(7)
+cfg = ModelConfig(num_types=2, embed_dim=32)
+params = ModelParams(**{n: rng.normal(0.0, 0.5, s) for n, s in param_shapes(cfg).items()})
+seq = EventSequence(times=np.sort(rng.uniform(0.0, 150.0, 400)),
+                    types=rng.integers(0, 2, 400), horizon=150.0, num_types=2)
+grid = make_grid(seq, 10)
+gc.collect()
+mb = {"before": rss()}
+amap = attention_matrix(params, cfg, seq, grid)
+mb["after_call"] = rss()
+for i in range(amap.matrix.shape[0]):
+    row = amap.matrix[i]
+    assert not np.any(row[i:] != 0.0) and not np.any(row[~amap.is_event] != 0.0)
+    row.sum()
+mb["after_reading_rows"] = rss()
+mb["rows"] = amap.matrix.shape[0]
+del amap, row
+gc.collect()
+mb["after_del"] = rss()
+print(json.dumps(mb))
+"""
+
+
 class TestAttentionMatrix:
     def build(self, rng, times, types, horizon=10.0, subdivisions=3):
         cfg = ModelConfig(num_types=2, embed_dim=8)
@@ -548,6 +592,52 @@ class TestAttentionMatrix:
         amap, seq, grid = self.build(rng, [], [])
         assert np.array_equal(amap.matrix, np.zeros_like(amap.matrix))
         assert not amap.is_event.any()
+
+    @pytest.mark.parametrize("cells", [1, 7, 64, ROW_BLOCK_CELLS])
+    def test_same_values_as_a_dense_matrix_from_the_blocks(self, rng, monkeypatch, cells):
+        monkeypatch.setattr(model, "ROW_BLOCK_CELLS", cells)
+        cfg = ModelConfig(num_types=3, embed_dim=8)
+        params = random_params(cfg, rng)
+        seq = random_sequence(rng, 25, 3, 10.0)
+        grid = make_grid(seq, 3)
+        _, _, _, blocks = _attention_blocks(params, cfg, seq, grid)
+        dense = np.zeros((len(grid), len(grid)))
+        for lo, hi, columns, weights in blocks:
+            dense[lo:hi, columns] = weights
+        matrix = attention_matrix(params, cfg, seq, grid).matrix
+        assert np.ascontiguousarray(matrix).tobytes() == dense.tobytes()
+
+    def test_column_major_and_writable(self, rng):
+        amap, seq, grid = self.build(rng, [1.0, 4.0, 7.0], [0, 1, 0])
+        assert amap.matrix.flags.f_contiguous
+        assert amap.matrix.flags.writeable
+        amap.matrix[0, 0] = 1.0
+        assert amap.matrix[0, 0] == 1.0
+
+    def test_leaves_numpys_huge_page_setting_alone(self, rng):
+        from numpy._core.multiarray import _get_madvise_hugepage
+
+        before = _get_madvise_hugepage()
+        self.build(rng, list(np.linspace(0.5, 9.5, 40)), [0, 1] * 20)
+        assert _get_madvise_hugepage() == before
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+    def test_resident_memory_follows_the_written_cells(self):
+        # a fresh interpreter, so no earlier test's heap or mappings blur the
+        # figures; the dense 4 011 x 4 011 float64 map is 123 MiB
+        done = subprocess.run(
+            [sys.executable, "-c", RESIDENT_PROGRAM],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        mb = json.loads(done.stdout)
+        assert mb["rows"] == 4011
+        assert mb["after_call"] - mb["before"] < 32.0
+        assert mb["after_reading_rows"] - mb["before"] < 32.0
+        # freeing the map unmaps its pages; the heap may keep a little
+        assert mb["after_del"] - mb["before"] < (mb["after_call"] - mb["before"]) / 2
 
 
 class TestParamHelpers:
